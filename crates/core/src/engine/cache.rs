@@ -288,8 +288,13 @@ pub struct EngineStats {
     pub domains: usize,
 }
 
+/// The cache key of one `(automaton, length)` instance. It is wider than
+/// the 64-bit instance fingerprint, so two instances whose fingerprints
+/// collide still resolve to different entries (and a snapshot file of one
+/// is never served for the other — see
+/// [`crate::engine::SnapshotStore::read_through`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct InstanceKey {
+pub(crate) struct InstanceKey {
     fingerprint: u64,
     states: usize,
     transitions: usize,
@@ -297,7 +302,7 @@ struct InstanceKey {
 }
 
 impl InstanceKey {
-    fn of(nfa: &Nfa, length: usize) -> Self {
+    pub(crate) fn of(nfa: &Nfa, length: usize) -> Self {
         InstanceKey {
             fingerprint: nfa.fingerprint(),
             states: nfa.num_states(),
@@ -515,6 +520,56 @@ impl Engine {
         }
     }
 
+    /// [`Engine::prepare_nfa`] with a read-through on a miss: when the
+    /// instance is not resident, `load` may supply it (the serving layer
+    /// reads a persisted snapshot) before a cold, lazily compiled instance
+    /// is built. The lookup and the insert each take the cache lock; `load`
+    /// runs between them with no lock held, so file I/O never blocks the
+    /// cache. If another resolution inserted the instance meanwhile, that
+    /// entry wins. A read-through still counts as a miss, and the handle
+    /// reports `was_cached() == false` — `cached` means "was resident".
+    /// `load` must return an instance of exactly `(nfa, length)`.
+    pub fn prepare_nfa_or_load(
+        &self,
+        nfa: &Arc<Nfa>,
+        length: usize,
+        load: impl FnOnce() -> Option<Arc<PreparedInstance>>,
+    ) -> InstanceHandle {
+        let key = InstanceKey::of(nfa, length);
+        let resident = {
+            let mut inner = self.inner.lock().expect("engine cache poisoned");
+            self.touch_locked(&mut inner, &key)
+        };
+        if let Some(inst) = resident {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return InstanceHandle {
+                inst,
+                key,
+                cache_hit: true,
+            };
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let loaded = load();
+        debug_assert!(loaded
+            .as_ref()
+            .is_none_or(|inst| InstanceKey::of(inst.nfa_arc(), inst.length()) == key));
+        let fresh =
+            loaded.unwrap_or_else(|| Arc::new(PreparedInstance::from_arc(nfa.clone(), length)));
+        let mut inner = self.inner.lock().expect("engine cache poisoned");
+        let inst = match self.touch_locked(&mut inner, &key) {
+            Some(raced) => raced,
+            None => {
+                self.insert_locked(&mut inner, key, fresh.clone());
+                fresh
+            }
+        };
+        InstanceHandle {
+            inst,
+            key,
+            cache_hit: false,
+        }
+    }
+
     /// The prepared instance for `(nfa, length)` — [`Engine::prepare_nfa`]
     /// without the handle wrapper, for callers that only want the artifact.
     pub fn prepared(&self, nfa: &Arc<Nfa>, length: usize) -> Arc<PreparedInstance> {
@@ -531,27 +586,14 @@ impl Engine {
     pub fn insert_prepared(&self, inst: Arc<PreparedInstance>) -> InstanceHandle {
         let key = InstanceKey::of(inst.nfa_arc(), inst.length());
         let mut inner = self.inner.lock().expect("engine cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.entries.get_mut(&key) {
-            entry.last_used = tick;
+        if let Some(existing) = self.touch_locked(&mut inner, &key) {
             return InstanceHandle {
-                inst: entry.inst.clone(),
+                inst: existing,
                 key,
                 cache_hit: true,
             };
         }
-        let bytes = inst.approx_bytes();
-        inner.total_bytes += bytes;
-        inner.entries.insert(
-            key,
-            Entry {
-                inst: inst.clone(),
-                bytes,
-                last_used: tick,
-            },
-        );
-        self.evict_locked(&mut inner);
+        self.insert_locked(&mut inner, key, inst.clone());
         InstanceHandle {
             inst,
             key,
@@ -718,21 +760,8 @@ impl Engine {
         make: impl FnOnce() -> Arc<PreparedInstance>,
     ) -> Resolved {
         let mut inner = self.inner.lock().expect("engine cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        let touched = inner.entries.get_mut(&key).map(|entry| {
-            entry.last_used = tick;
-            // Re-measure on every touch (cheap — per-table sizes are
-            // memoized) so tables materialized through a directly-held
-            // `Arc` or `InstanceHandle` are accounted for too.
-            let fresh = entry.inst.approx_bytes();
-            let old = std::mem::replace(&mut entry.bytes, fresh);
-            (entry.inst.clone(), fresh, old)
-        });
-        if let Some((inst, fresh, old)) = touched {
-            inner.total_bytes = (inner.total_bytes + fresh).saturating_sub(old);
+        if let Some(inst) = self.touch_locked(&mut inner, &key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.evict_locked(&mut inner);
             return Resolved {
                 inst,
                 cache_hit: true,
@@ -741,22 +770,53 @@ impl Engine {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let inst = make();
-        let bytes = inst.approx_bytes();
-        inner.total_bytes += bytes;
-        inner.entries.insert(
-            key,
-            Entry {
-                inst: inst.clone(),
-                bytes,
-                last_used: tick,
-            },
-        );
-        self.evict_locked(&mut inner);
+        self.insert_locked(&mut inner, key, inst.clone());
         Resolved {
             inst,
             cache_hit: false,
             key,
         }
+    }
+
+    /// Advances the LRU clock and, if `key` is resident, marks it most
+    /// recently used and re-measures it. Counts nothing: callers decide
+    /// whether the touch is a hit.
+    fn touch_locked(
+        &self,
+        inner: &mut CacheInner,
+        key: &InstanceKey,
+    ) -> Option<Arc<PreparedInstance>> {
+        inner.tick += 1;
+        let tick = inner.tick;
+        let entry = inner.entries.get_mut(key)?;
+        entry.last_used = tick;
+        // Re-measure on every touch (cheap — per-table sizes are memoized)
+        // so tables materialized through a directly-held `Arc` or
+        // `InstanceHandle` are accounted for too.
+        let fresh = entry.inst.approx_bytes();
+        let old = std::mem::replace(&mut entry.bytes, fresh);
+        let inst = entry.inst.clone();
+        inner.total_bytes = (inner.total_bytes + fresh).saturating_sub(old);
+        self.evict_locked(inner);
+        Some(inst)
+    }
+
+    /// Inserts `inst` under `key` as the most recently used entry (the
+    /// clock tick of the [`Engine::touch_locked`] that just missed) and
+    /// enforces the byte cap.
+    fn insert_locked(&self, inner: &mut CacheInner, key: InstanceKey, inst: Arc<PreparedInstance>) {
+        let bytes = inst.approx_bytes();
+        inner.total_bytes += bytes;
+        let last_used = inner.tick;
+        inner.entries.insert(
+            key,
+            Entry {
+                inst,
+                bytes,
+                last_used,
+            },
+        );
+        self.evict_locked(inner);
     }
 
     fn lookup_or_insert(&self, nfa: &Arc<Nfa>, length: usize) -> Resolved {
@@ -1070,6 +1130,40 @@ mod tests {
         assert!(Arc::ptr_eq(handle.instance(), &engine.prepared(&nfa, 10)));
         let stats = engine.stats();
         assert_eq!((stats.hits, stats.misses), (4, 1));
+    }
+
+    #[test]
+    fn read_through_misses_load_without_the_lock_and_racing_inserts_win() {
+        let engine = Engine::with_defaults();
+        let nfa = Arc::new(blowup_nfa(3));
+        let loaded = Arc::new(PreparedInstance::from_arc(nfa.clone(), 8));
+        let handle = engine.prepare_nfa_or_load(&nfa, 8, || Some(loaded.clone()));
+        assert!(!handle.was_cached(), "a read-through is a miss");
+        assert!(
+            Arc::ptr_eq(handle.instance(), &loaded),
+            "loaded entry served"
+        );
+        // Resident now: the loader is not consulted again.
+        let again = engine.prepare_nfa_or_load(&nfa, 8, || unreachable!("hit"));
+        assert!(again.was_cached());
+        assert_eq!((engine.stats().hits, engine.stats().misses), (1, 1));
+        // The loader runs with the cache unlocked (it can use the engine),
+        // and an entry inserted while it ran beats the loaded one.
+        let other = Arc::new(blowup_nfa(4));
+        let racer = Arc::new(PreparedInstance::from_arc(other.clone(), 9));
+        let raced = engine.prepare_nfa_or_load(&other, 9, || {
+            engine.insert_prepared(racer.clone());
+            Some(Arc::new(PreparedInstance::from_arc(other.clone(), 9)))
+        });
+        assert!(!raced.was_cached());
+        assert!(
+            Arc::ptr_eq(raced.instance(), &racer),
+            "the racing insert wins"
+        );
+        // No loader result compiles cold, lazily.
+        let cold = engine.prepare_nfa_or_load(&Arc::new(blowup_nfa(2)), 5, || None);
+        assert!(!cold.was_cached());
+        assert_eq!(engine.stats().misses, 3);
     }
 
     #[test]

@@ -67,4 +67,4 @@ pub use prepared::PreparedInstance;
 pub use queryable::{domain_fingerprint, Queryable};
 pub use router::{count_routed, CountRoute, RoutedCount, RouterConfig};
 pub use shard::{ShardMap, ShardedConfig, ShardedEngine, ShardedStats};
-pub use snapshot::{SnapshotError, SnapshotStore, SweepReport, WarmReport};
+pub use snapshot::{ReadThrough, SnapshotError, SnapshotStore, SweepReport, WarmReport};

@@ -451,6 +451,19 @@ impl ShardedEngine {
             .prepare_nfa(nfa, length)
     }
 
+    /// [`ShardedEngine::prepare_nfa`] with a read-through on a miss,
+    /// resolved on the home shard (see [`Engine::prepare_nfa_or_load`]:
+    /// `load` runs with no shard lock held).
+    pub fn prepare_nfa_or_load(
+        &self,
+        nfa: &Arc<Nfa>,
+        length: usize,
+        load: impl FnOnce() -> Option<Arc<PreparedInstance>>,
+    ) -> InstanceHandle {
+        self.engine_for(PreparedInstance::instance_fingerprint(nfa, length))
+            .prepare_nfa_or_load(nfa, length, load)
+    }
+
     /// The prepared instance for `(nfa, length)` — [`ShardedEngine::prepare_nfa`]
     /// without the handle wrapper.
     pub fn prepared(&self, nfa: &Arc<Nfa>, length: usize) -> Arc<PreparedInstance> {

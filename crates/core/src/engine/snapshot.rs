@@ -72,7 +72,7 @@ use lsc_automata::io as nfa_io;
 use lsc_automata::ops::AmbiguityDegree;
 use lsc_automata::{Nfa, Word};
 
-use crate::engine::cache::Engine;
+use crate::engine::cache::{Engine, InstanceKey};
 use crate::engine::prepared::PreparedInstance;
 use crate::fpras::{reach_of, FprasParams, FprasState, SampleEntry, VertexData};
 use crate::serve::faults::{Fault, FaultPlan, FaultSite};
@@ -145,6 +145,19 @@ pub struct SweepReport {
     /// path (`*.snap.quarantined.N` — numbered so repeated corruptions of
     /// one fingerprint never overwrite an earlier artifact).
     pub quarantined: usize,
+}
+
+/// What [`SnapshotStore::read_through`] found for one requested instance.
+pub enum ReadThrough {
+    /// A valid snapshot of exactly the requested instance.
+    Loaded(Arc<PreparedInstance>),
+    /// Nothing to serve: no file (the common case), an unreadable one, or
+    /// a valid snapshot of a different instance whose 64-bit fingerprint
+    /// collides with the request's.
+    Missing,
+    /// The file failed validation and was renamed to
+    /// `*.snap.quarantined.N`, exactly as the open-time sweep does.
+    Quarantined,
 }
 
 /// A directory of fingerprint-keyed [`PreparedInstance`] snapshots.
@@ -349,6 +362,52 @@ impl SnapshotStore {
         fingerprint: u64,
     ) -> Result<Arc<PreparedInstance>, SnapshotError> {
         self.load(&self.path_for(fingerprint))
+    }
+
+    /// The engine-miss read-through: loads the snapshot of `(nfa, length)`
+    /// if the store holds a valid one, so a re-prepared instance comes back
+    /// with its classification, tables and FPRAS sketch instead of being
+    /// rebuilt. A file is served only when its decoded instance has the
+    /// request's full cache key (fingerprint, state and transition counts,
+    /// length), so a fingerprint collision is never served. A file that
+    /// fails validation is quarantined and forgotten by the save index, so
+    /// the caller's cold rebuild republishes a fresh snapshot. A loaded
+    /// file seeds the save index, so re-saving it writes nothing.
+    ///
+    /// A concurrent save of the same fingerprint can race a quarantine and
+    /// lose its fresh file to the rename; that costs one more rebuild,
+    /// never a wrong answer.
+    pub fn read_through(&self, nfa: &Nfa, length: usize) -> ReadThrough {
+        let fingerprint = PreparedInstance::instance_fingerprint(nfa, length);
+        let path = self.path_for(fingerprint);
+        // lsc-analyze: allow(unrouted-io) reason="read-side miss path; a failed read is a cold compile, and the corruption matrix pins the quarantine branch"
+        let Ok(bytes) = std::fs::read(&path) else {
+            return ReadThrough::Missing;
+        };
+        match decode(&bytes) {
+            Ok((inst, checksum)) => {
+                if InstanceKey::of(inst.nfa_arc(), inst.length()) != InstanceKey::of(nfa, length) {
+                    return ReadThrough::Missing;
+                }
+                self.saved
+                    .lock()
+                    .expect("snapshot index poisoned")
+                    .insert(fingerprint, checksum);
+                ReadThrough::Loaded(inst)
+            }
+            Err(_) => {
+                self.saved
+                    .lock()
+                    .expect("snapshot index poisoned")
+                    .remove(&fingerprint);
+                // lsc-analyze: allow(unrouted-io) reason="read-side quarantine, the same rename as the open-time sweep; pinned by the crash-safety corruption matrix"
+                if std::fs::rename(&path, quarantine_path(&path)).is_ok() {
+                    ReadThrough::Quarantined
+                } else {
+                    ReadThrough::Missing
+                }
+            }
+        }
     }
 
     /// Reads the raw, fully validated bytes of one fingerprint's snapshot
@@ -1069,6 +1128,57 @@ mod tests {
         // the directory sees neither.
         let engine = Engine::with_defaults();
         assert_eq!(reopened.warm(&engine), WarmReport::default());
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn read_through_serves_only_a_valid_snapshot_of_the_requested_instance() {
+        let store = temp_store("read-through");
+        let inst = warmed_instance();
+        let (nfa, length) = (inst.nfa_arc().clone(), inst.length());
+        assert!(matches!(
+            store.read_through(&nfa, length),
+            ReadThrough::Missing
+        ));
+        store.save(&inst).unwrap();
+        let ReadThrough::Loaded(loaded) = store.read_through(&nfa, length) else {
+            panic!("a valid snapshot must load");
+        };
+        assert_eq!(loaded.count_exact().unwrap(), inst.count_exact().unwrap());
+        assert!(
+            !store.save(&loaded).unwrap(),
+            "a loaded file is not rewritten"
+        );
+
+        // A valid snapshot of another instance under this name (what a
+        // 64-bit fingerprint collision would look like) is not served and
+        // not quarantined either.
+        let path = store.path_for(inst.fingerprint());
+        let good = std::fs::read(&path).unwrap();
+        let other = Arc::new(PreparedInstance::new(blowup_nfa(2), 6));
+        other.is_unambiguous();
+        store.save(&other).unwrap();
+        std::fs::copy(store.path_for(other.fingerprint()), &path).unwrap();
+        assert!(matches!(
+            store.read_through(&nfa, length),
+            ReadThrough::Missing
+        ));
+        assert!(path.exists());
+
+        // A corrupt file is quarantined, and the save index forgets it, so
+        // the rebuilt instance is published afresh.
+        let mut bad = good.clone();
+        bad[good.len() / 2] ^= 0xFF;
+        std::fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            store.read_through(&nfa, length),
+            ReadThrough::Quarantined
+        ));
+        assert!(!path.exists());
+        let quarantined = PathBuf::from(format!("{}.quarantined.1", path.display()));
+        assert_eq!(std::fs::read(&quarantined).unwrap(), bad);
+        assert!(store.save(&inst).unwrap(), "fresh snapshot published");
+        assert_eq!(std::fs::read(&path).unwrap(), good);
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

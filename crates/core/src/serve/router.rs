@@ -989,6 +989,14 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
+        // Every backend counter is summed, the read-through one included.
+        assert_eq!(
+            stats
+                .get("server")
+                .and_then(|s| s.get("snapshot_reads"))
+                .and_then(Json::as_u64),
+            Some(0)
+        );
         let shards = stats.get("shards").and_then(Json::as_arr).unwrap();
         assert_eq!(shards.len(), 2, "one shards row per backend");
         let router_section = stats.get("router").unwrap();

@@ -5,11 +5,12 @@
 //! caches behind a consistent-hash shard map — see
 //! [`crate::engine::ShardedEngine`]), a [`SessionRegistry`], a bounded
 //! [`WorkerPool`], and — optionally — a [`SnapshotStore`] it warms the
-//! shard fleet from at startup and persists compiled artifacts into as
-//! queries materialize them. Transports are
-//! thin: the TCP accept loop ([`Server::spawn_tcp`]) and the stdio loop
-//! ([`Server::serve_stdio`]) both read request lines, push them through
-//! the pool ([`Server::submit_and_wait`]), and write response lines;
+//! shard fleet from at startup, reads through on every engine miss, and
+//! persists compiled artifacts into as queries materialize them.
+//! Transports are thin: the TCP accept loop ([`Server::spawn_tcp`]) and
+//! the stdio loop ([`Server::serve_stdio`]) both read request lines, push
+//! them through the pool ([`Server::submit_and_wait`]), and write
+//! response lines;
 //! every byte of protocol behavior lives in [`Server::handle_line`], which
 //! is also the direct (transport-free) entry the tests and benches drive.
 //!
@@ -32,12 +33,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use lsc_automata::regex::Regex;
-use lsc_automata::{format_word, io as nfa_io, Alphabet, Word};
+use lsc_automata::{format_word, io as nfa_io, Alphabet, Nfa, Word};
 
 use crate::engine::{
     CountRoute, EngineConfig, EngineStats, PreparedInstance, QueryError, QueryKind, QueryOutput,
-    QueryRequest, ResumeToken, ShardedConfig, ShardedEngine, SnapshotStore, SweepReport,
-    WarmReport,
+    QueryRequest, ReadThrough, ResumeToken, ShardedConfig, ShardedEngine, SnapshotStore,
+    SweepReport, WarmReport,
 };
 use crate::serve::faults::{Fault, FaultPlan, FaultSite, FaultyStream};
 use crate::serve::json::Json;
@@ -181,10 +182,14 @@ pub struct ServeStats {
     pub snapshots_rejected: usize,
     /// Snapshots written since startup.
     pub snapshots_saved: u64,
-    /// Corrupt snapshot files quarantined by the startup sweep
-    /// (`*.snap.quarantined.N` — out of the serving path, kept on disk,
-    /// numbered so repeated corruptions keep every artifact).
-    pub snapshots_quarantined: usize,
+    /// Engine misses served by reading the instance's snapshot back
+    /// instead of recompiling it (the `prepare` read-through).
+    pub snapshot_reads: u64,
+    /// Corrupt snapshot files quarantined by the startup sweep or by a
+    /// read-through (`*.snap.quarantined.N` — out of the serving path,
+    /// kept on disk, numbered so repeated corruptions keep every
+    /// artifact).
+    pub snapshots_quarantined: u64,
     /// Stale snapshot temp files reaped by the startup sweep (debris of
     /// writers that crashed mid-save).
     pub snapshot_tmp_swept: usize,
@@ -232,6 +237,9 @@ pub(crate) struct ServerInner {
     connections: AtomicU64,
     requests: AtomicU64,
     snapshots_saved: AtomicU64,
+    snapshot_reads: AtomicU64,
+    /// Files quarantined by read-throughs (the sweep's count is in `sweep`).
+    read_quarantined: AtomicU64,
     resets_survived: AtomicU64,
     retries_hinted: AtomicU64,
 }
@@ -285,6 +293,8 @@ impl Server {
                 connections: AtomicU64::new(0),
                 requests: AtomicU64::new(0),
                 snapshots_saved: AtomicU64::new(0),
+                snapshot_reads: AtomicU64::new(0),
+                read_quarantined: AtomicU64::new(0),
                 resets_survived: AtomicU64::new(0),
                 retries_hinted: AtomicU64::new(0),
             }),
@@ -729,7 +739,9 @@ impl ServerInner {
             snapshots_loaded: self.warm.loaded,
             snapshots_rejected: self.warm.rejected,
             snapshots_saved: self.snapshots_saved.load(Ordering::Relaxed),
-            snapshots_quarantined: self.sweep.quarantined,
+            snapshot_reads: self.snapshot_reads.load(Ordering::Relaxed),
+            snapshots_quarantined: self.sweep.quarantined as u64
+                + self.read_quarantined.load(Ordering::Relaxed),
             snapshot_tmp_swept: self.sweep.tmp_removed,
             resets_survived: self.resets_survived.load(Ordering::Relaxed),
             retries: self.retries_hinted.load(Ordering::Relaxed),
@@ -1004,6 +1016,10 @@ impl ServerInner {
                                 Json::num(stats.snapshots_saved as f64),
                             ),
                             (
+                                "snapshot_reads".to_string(),
+                                Json::num(stats.snapshot_reads as f64),
+                            ),
+                            (
                                 "snapshots_quarantined".to_string(),
                                 Json::num(stats.snapshots_quarantined as f64),
                             ),
@@ -1085,7 +1101,9 @@ impl ServerInner {
                 (Arc::new(nfa), alphabet)
             }
         };
-        let handle = self.engine.prepare_nfa(&nfa, length);
+        let handle = self
+            .engine
+            .prepare_nfa_or_load(&nfa, length, || self.read_through(&nfa, length));
         // The classification is needed to answer (and report) anything, so
         // materialize it now — it is also the first artifact worth
         // persisting.
@@ -1127,16 +1145,34 @@ impl ServerInner {
         result
     }
 
+    /// The engine-miss loader behind `prepare`: the instance's persisted
+    /// snapshot, if the store holds a valid one. A loaded instance records
+    /// its artifact mask, so the save hook finds nothing new and writes
+    /// nothing; a quarantined file forgets the mask, so the cold rebuild
+    /// republishes.
+    fn read_through(&self, nfa: &Nfa, length: usize) -> Option<Arc<PreparedInstance>> {
+        let store = self.snapshots.as_ref()?;
+        let masks = || self.snapshot_masks.lock().expect("snapshot masks poisoned");
+        match store.read_through(nfa, length) {
+            ReadThrough::Loaded(inst) => {
+                self.snapshot_reads.fetch_add(1, Ordering::Relaxed);
+                masks().insert(inst.fingerprint(), snapshot_mask(&inst));
+                Some(inst)
+            }
+            ReadThrough::Quarantined => {
+                self.read_quarantined.fetch_add(1, Ordering::Relaxed);
+                masks().remove(&PreparedInstance::instance_fingerprint(nfa, length));
+                None
+            }
+            ReadThrough::Missing => None,
+        }
+    }
+
     /// Post-query persistence hook: save a snapshot when (and only when) a
     /// new artifact materialized on the instance since the last save.
     fn maybe_snapshot(&self, inst: &Arc<PreparedInstance>) {
         let Some(store) = &self.snapshots else { return };
-        let (unambiguous, degree, completions, det_count) = inst.snapshot_parts();
-        let mask = u8::from(unambiguous.is_some())
-            | (u8::from(degree.is_some()) << 1)
-            | (u8::from(completions.is_some()) << 2)
-            | (u8::from(det_count.is_some()) << 3)
-            | (u8::from(inst.sketch_snapshot().is_some()) << 4);
+        let mask = snapshot_mask(inst);
         {
             let masks = self.snapshot_masks.lock().expect("snapshot masks poisoned");
             if masks.get(&inst.fingerprint()) == Some(&mask) {
@@ -1172,6 +1208,17 @@ impl ServerInner {
         }
         Ok(())
     }
+}
+
+/// Which snapshot parts an instance has materialized, as a bitmask — what
+/// the save hook compares to decide whether anything new needs persisting.
+fn snapshot_mask(inst: &PreparedInstance) -> u8 {
+    let (unambiguous, degree, completions, det_count) = inst.snapshot_parts();
+    u8::from(unambiguous.is_some())
+        | (u8::from(degree.is_some()) << 1)
+        | (u8::from(completions.is_some()) << 2)
+        | (u8::from(det_count.is_some()) << 3)
+        | (u8::from(inst.sketch_snapshot().is_some()) << 4)
 }
 
 /// Serializes one engine-stats block (the aggregate, or — with an id — one

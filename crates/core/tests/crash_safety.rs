@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lsc_automata::families::blowup_nfa;
-use lsc_core::engine::{Engine, PreparedInstance, SnapshotStore};
+use lsc_core::engine::{Engine, EngineConfig, PreparedInstance, SnapshotStore};
 use lsc_core::serve::client::backoff_delay;
 use lsc_core::serve::json::{self, Json};
 use lsc_core::serve::{ServeConfig, Server};
@@ -125,6 +125,31 @@ fn a_crash_at_every_byte_boundary_recovers_to_the_published_prefix() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every way the corruption matrix breaks a good snapshot file.
+fn corruptions(good: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+    let flipped = |at: usize| {
+        let mut bytes = good.to_vec();
+        bytes[at] ^= 0xFF;
+        bytes
+    };
+    vec![
+        ("empty file", Vec::new()),
+        ("foreign bytes", b"not a snapshot at all".to_vec()),
+        ("truncated header", good[..12].to_vec()),
+        ("truncated payload", good[..good.len() - 1].to_vec()),
+        ("flipped magic", flipped(0)),
+        ("flipped version", flipped(9)),
+        ("flipped fingerprint", flipped(14)),
+        ("flipped checksum", flipped(30)),
+        ("flipped payload", flipped(good.len() / 2)),
+        ("flipped last byte", flipped(good.len() - 1)),
+        (
+            "trailing junk",
+            good.iter().chain(b"junk").copied().collect(),
+        ),
+    ]
+}
+
 /// The corruption matrix, through the full serving path: for every
 /// corruption mode, a restarted server quarantines the file (visible in
 /// its stats), recompiles the instance instead of serving corrupt data,
@@ -153,29 +178,8 @@ fn the_corruption_matrix_quarantines_and_recompiles_never_serves() {
         .expect("one snapshot saved")
         .path();
     let good = std::fs::read(&file).unwrap();
-    let flipped = |at: usize| {
-        let mut bytes = good.clone();
-        bytes[at] ^= 0xFF;
-        bytes
-    };
-    let matrix: Vec<(&str, Vec<u8>)> = vec![
-        ("empty file", Vec::new()),
-        ("foreign bytes", b"not a snapshot at all".to_vec()),
-        ("truncated header", good[..12].to_vec()),
-        ("truncated payload", good[..good.len() - 1].to_vec()),
-        ("flipped magic", flipped(0)),
-        ("flipped version", flipped(9)),
-        ("flipped fingerprint", flipped(14)),
-        ("flipped checksum", flipped(30)),
-        ("flipped payload", flipped(good.len() / 2)),
-        ("flipped last byte", flipped(good.len() - 1)),
-        (
-            "trailing junk",
-            good.iter().chain(b"junk").copied().collect(),
-        ),
-    ];
 
-    for (mode, bytes) in matrix {
+    for (mode, bytes) in corruptions(&good) {
         std::fs::write(&file, &bytes).unwrap();
         let server = Server::new(config()).unwrap();
         assert_eq!(
@@ -205,6 +209,88 @@ fn the_corruption_matrix_quarantines_and_recompiles_never_serves() {
         server.shutdown();
         std::fs::remove_file(&q).unwrap();
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The corruption matrix against a *running* server: the snapshot of an
+/// evicted instance is broken on disk, and the next `prepare` reads it
+/// through. The file must be quarantined (counted, kept on disk), the
+/// instance recompiled with a correct answer, and a fresh, valid snapshot
+/// published in its place.
+#[test]
+fn a_corrupt_snapshot_found_by_a_read_through_is_quarantined_and_republished() {
+    let dir = temp_dir("read-through");
+    // One shard with a 1-byte cap: every insert evicts all older entries.
+    let server = Server::new(ServeConfig {
+        engine: EngineConfig {
+            cache_bytes: 1,
+            ..EngineConfig::default()
+        },
+        shards: 1,
+        snapshot_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let conn = server.open_conn();
+    let count = |pattern: &str, length: usize| {
+        let prepared = server.handle_line(
+            conn,
+            &format!(r#"{{"op":"prepare","regex":"{pattern}","length":{length}}}"#),
+        );
+        let prepared = json::parse(&prepared.text).unwrap();
+        let session = prepared.get("session").and_then(Json::as_str).unwrap();
+        let count = server.handle_line(
+            conn,
+            &format!(r#"{{"op":"count_exact","session":"{session}"}}"#),
+        );
+        let count = json::parse(&count.text).unwrap();
+        server.handle_line(conn, &format!(r#"{{"op":"close","session":"{session}"}}"#));
+        count
+            .get("count")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string()
+    };
+    // Words of length 6 ending in 11: 2^4.
+    assert_eq!(count("(0|1)*11", 6), "16");
+    let store = SnapshotStore::open(&dir).unwrap();
+    let file = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .find(|e| e.path().extension().is_some_and(|x| x == "snap"))
+        .expect("one snapshot saved")
+        .path();
+    let good = std::fs::read(&file).unwrap();
+
+    for (mode, bytes) in corruptions(&good) {
+        // Evict the instance, then break its file under the running server.
+        count("(0|1)*0", 5);
+        std::fs::write(&file, &bytes).unwrap();
+        let before = server.stats();
+        assert_eq!(count("(0|1)*11", 6), "16", "{mode}: wrong answer");
+        let after = server.stats();
+        assert_eq!(
+            after.snapshots_quarantined,
+            before.snapshots_quarantined + 1,
+            "{mode}: not quarantined"
+        );
+        assert_eq!(
+            after.snapshot_reads, before.snapshot_reads,
+            "{mode}: corrupt file served"
+        );
+        let q = quarantine_path(&file);
+        assert_eq!(std::fs::read(&q).unwrap(), bytes, "{mode}: bytes not kept");
+        assert!(
+            after.snapshots_saved > before.snapshots_saved,
+            "{mode}: nothing republished"
+        );
+        assert!(
+            store.load(&file).is_ok(),
+            "{mode}: the republished snapshot is not valid"
+        );
+        std::fs::remove_file(&q).unwrap();
+    }
+    server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 

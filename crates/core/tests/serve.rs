@@ -16,7 +16,9 @@ use std::time::Duration;
 
 use lsc_automata::regex::Regex;
 use lsc_automata::{format_word, Alphabet, Nfa, Word};
-use lsc_core::engine::{Engine, EngineConfig, QueryKind, QueryOutput, QueryRequest, RouterConfig};
+use lsc_core::engine::{
+    Engine, EngineConfig, QueryKind, QueryOutput, QueryRequest, RouterConfig, SnapshotStore,
+};
 use lsc_core::serve::json::{self, Json};
 use lsc_core::serve::{ServeConfig, Server};
 
@@ -806,4 +808,135 @@ fn sessions_idle_out_and_answer_unknown_session() {
     );
     assert!(server.stats().sessions_evicted >= 1);
     server.shutdown();
+}
+
+/// Prepares `(pattern, length)` on `conn` and counts it: the `prepare`
+/// answer plus the whole `count` answer, encoded (bit-identity compares
+/// the encoding).
+fn prepare_and_count(server: &Server, conn: u64, pattern: &str, length: usize) -> (Json, String) {
+    let prepared = ok_line(
+        server,
+        conn,
+        &format!(r#"{{"op":"prepare","regex":"{pattern}","length":{length}}}"#),
+    );
+    let session = field_str(&prepared, "session");
+    let count = ok_line(
+        server,
+        conn,
+        &format!(r#"{{"op":"count","session":"{session}"}}"#),
+    );
+    ok_line(
+        server,
+        conn,
+        &format!(r#"{{"op":"close","session":"{session}"}}"#),
+    );
+    (prepared, count.encode())
+}
+
+/// `(engine misses, snapshot_reads, snapshots_saved)` as the `stats` verb
+/// reports them.
+fn read_through_counters(server: &Server, conn: u64) -> (u64, u64, u64) {
+    let stats = ok_line(server, conn, r#"{"op":"stats"}"#);
+    let counter = |block: &str, key: &str| {
+        stats
+            .get(block)
+            .and_then(|b| b.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("stats lacks {block}.{key}"))
+    };
+    (
+        counter("engine", "misses"),
+        counter("server", "snapshot_reads"),
+        counter("server", "snapshots_saved"),
+    )
+}
+
+/// An FPRAS-route instance under [`test_engine_config`] (ambiguous, and
+/// determinization is capped at 0).
+const FPRAS_INSTANCE: (&str, usize) = ("(0|1)*00(0|1)*", 7);
+
+#[test]
+fn an_evicted_instance_is_read_back_from_its_snapshot_not_rebuilt() {
+    let dir = std::env::temp_dir().join(format!("lsc-serve-read-through-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let (pattern, length) = FPRAS_INSTANCE;
+    // What a cold server without snapshots answers.
+    let cold = Server::new(test_serve_config()).unwrap();
+    let conn = cold.open_conn();
+    let (_, cold_count) = prepare_and_count(&cold, conn, pattern, length);
+    assert!(cold_count.contains(r#""route":"fpras""#), "{cold_count}");
+    cold.shutdown();
+
+    // One shard with a 1-byte cap: every insert evicts all older entries.
+    let server = Server::new(ServeConfig {
+        engine: EngineConfig {
+            cache_bytes: 1,
+            ..test_engine_config()
+        },
+        shards: 1,
+        snapshot_dir: Some(dir.clone()),
+        ..test_serve_config()
+    })
+    .unwrap();
+    let conn = server.open_conn();
+    let (_, first) = prepare_and_count(&server, conn, pattern, length);
+    assert_eq!(first, cold_count);
+    prepare_and_count(&server, conn, "(0|1)*11", 6); // evicts the first
+    let evictions = server.engine().stats().aggregate.evictions;
+    assert!(evictions >= 1, "the FPRAS instance was not evicted");
+    let (misses, reads, saved) = read_through_counters(&server, conn);
+
+    let (prepared, again) = prepare_and_count(&server, conn, pattern, length);
+    assert_eq!(again, cold_count, "read-back answer differs from cold");
+    assert_eq!(
+        prepared.get("cached"),
+        Some(&Json::Bool(false)),
+        "`cached` still means resident in memory"
+    );
+    assert_eq!(
+        read_through_counters(&server, conn),
+        (misses + 1, reads + 1, saved),
+        "one miss, served by one snapshot read and no republish"
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_snapshot_imported_into_a_running_store_serves_the_next_miss() {
+    let root = std::env::temp_dir().join(format!("lsc-serve-import-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let config = |dir: &str| ServeConfig {
+        shards: 1,
+        snapshot_dir: Some(root.join(dir)),
+        ..test_serve_config()
+    };
+    let (pattern, length) = FPRAS_INSTANCE;
+    // A source node compiles and persists the instance.
+    let source = Server::new(config("source")).unwrap();
+    let conn = source.open_conn();
+    let (prepared, source_count) = prepare_and_count(&source, conn, pattern, length);
+    source.shutdown();
+    let fingerprint = u64::from_str_radix(&field_str(&prepared, "fingerprint"), 16).unwrap();
+    let bytes = SnapshotStore::open(root.join("source"))
+        .unwrap()
+        .export_fingerprint(fingerprint)
+        .unwrap();
+
+    // The destination is already running when the snapshot arrives.
+    let dest = Server::new(config("dest")).unwrap();
+    assert_eq!(dest.warm_report().loaded, 0);
+    SnapshotStore::open(root.join("dest"))
+        .unwrap()
+        .import_bytes(&bytes)
+        .unwrap();
+    let conn = dest.open_conn();
+    let (prepared, count) = prepare_and_count(&dest, conn, pattern, length);
+    assert_eq!(prepared.get("cached"), Some(&Json::Bool(false)));
+    assert_eq!(count, source_count);
+    // Served from the shipped file: nothing new materialized, so nothing
+    // was written back.
+    assert_eq!(read_through_counters(&dest, conn), (1, 1, 0));
+    dest.shutdown();
+    std::fs::remove_dir_all(&root).ok();
 }

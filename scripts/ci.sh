@@ -77,6 +77,9 @@ cargo test -q --release -p lsc-core --test transport_conformance
 echo "== crash safety: every-byte crash points + corruption matrix =="
 cargo test -q --release -p lsc-core --test crash_safety
 
+echo "== repository benchmark: perfbench's own tests (generator, oracle, percentiles) =="
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "== lint: clippy (deny warnings) =="
 cargo clippy --workspace -- -D warnings
 
