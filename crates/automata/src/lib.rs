@@ -33,5 +33,5 @@ pub use alphabet::Alphabet;
 pub use dfa::Dfa;
 pub use eps::EpsNfa;
 pub use nfa::{Nfa, NfaBuilder, StateId};
-pub use stateset::StateSet;
+pub use stateset::{bit_indices, StateSet};
 pub use word::{format_word, parse_word, Symbol, Word};

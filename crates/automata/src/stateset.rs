@@ -100,18 +100,24 @@ impl StateSet {
 
     /// Iterates over present states in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bits.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut word = w;
-            std::iter::from_fn(move || {
-                if word == 0 {
-                    return None;
-                }
-                let b = word.trailing_zeros() as usize;
-                word &= word - 1;
-                Some(wi * 64 + b)
-            })
-        })
+        bit_indices(&self.bits)
     }
+}
+
+/// The indices of the set bits of packed words (the layout of
+/// [`StateSet::words`]), in increasing order.
+pub fn bit_indices(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut word = w;
+        std::iter::from_fn(move || {
+            if word == 0 {
+                return None;
+            }
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            Some(wi * 64 + b)
+        })
+    })
 }
 
 impl FromIterator<usize> for StateSet {

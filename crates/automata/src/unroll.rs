@@ -16,10 +16,18 @@
 //! string sets `U(v)` of §6.2 are untouched for surviving vertices, and vertices
 //! off all accepting paths contribute to no answer (the paper prunes the same
 //! way: step 3 of Algorithm 5 and the final step of Lemma 15).
+//!
+//! **Size.** The DAG's memory follows the DAG, not `n·m`: vertices and CSR
+//! edges, plus `2·(n+1)·⌈m/64⌉` words for the `(layer, state)` lookup (the
+//! per-layer viable bitsets and their running popcounts). A build costs
+//! `O(|V| + |E| + n·⌈m/64⌉)` past the forward sweep over the automaton's
+//! transitions. Prepared-instance caches size themselves by
+//! [`UnrolledDag::approx_bytes`], and snapshots rebuild the DAG instead of
+//! storing it, so both follow the same bound.
 
 use lsc_arith::BigNat;
 
-use crate::{Nfa, StateId, StateSet, Symbol, Word};
+use crate::{bit_indices, Nfa, StateId, Symbol, Word};
 
 /// A vertex of the unrolled DAG.
 pub type NodeId = usize;
@@ -32,18 +40,24 @@ pub type NodeId = usize;
 /// layer-major order and edges of a node are contiguous and sorted, so the
 /// FPRAS sampler's backward walks and the enumeration DFS read adjacency
 /// lists as sequential cache lines.
+///
+/// The `(layer, state) → node` lookup is a rank over the per-layer viable
+/// bitsets. Ids follow `(layer, state)` order, so the id of a surviving
+/// `(t, q)` is the number of set bits before it in the concatenated
+/// bitsets: one stored prefix count per 64-bit word plus a `popcount`
+/// inside the word. That costs `2·(n+1)·⌈m/64⌉` words where a dense
+/// `(n+1)·m` slot table would dominate a DAG that is nearly a path (an
+/// unambiguous instance often keeps one vertex per layer).
 #[derive(Clone, Debug)]
 pub struct UnrolledDag {
     n: usize,
     alphabet_size: usize,
     /// `(layer, nfa_state)` per node, layer-major order.
     nodes: Vec<(usize, StateId)>,
-    /// Node ids per layer `0..=n`.
-    layers: Vec<Vec<NodeId>>,
+    /// Layer `t` holds the node ids `layer_off[t]..layer_off[t + 1]`.
+    layer_off: Vec<NodeId>,
     /// `(0, initial)`, if it survived pruning.
     start: Option<NodeId>,
-    /// Layer-`n` nodes whose NFA state accepts.
-    accepting: Vec<NodeId>,
     /// Flat out-edge array; node `v` owns `out_flat[out_off[v]..out_off[v+1]]`,
     /// sorted by `(symbol, target)`.
     out_flat: Vec<(Symbol, NodeId)>,
@@ -52,73 +66,90 @@ pub struct UnrolledDag {
     /// sorted by `(symbol, source)`.
     in_flat: Vec<(Symbol, NodeId)>,
     in_off: Vec<usize>,
-    /// `(layer, state) → node` lookup: `index[layer * m + state]`.
-    index: Vec<Option<NodeId>>,
+    /// Surviving states, `words` packed words per layer: bit `q % 64` of
+    /// `viable[t * words + q / 64]` is set iff `(t, q)` is a vertex.
+    viable: Vec<u64>,
+    /// `rank[i]` = set bits in `viable[..i]` = the id of the first vertex
+    /// at or after word `i`.
+    rank: Vec<NodeId>,
     m: usize,
+    words: usize,
 }
 
 impl UnrolledDag {
     /// Unrolls `nfa` to depth `n` and prunes vertices off accepting paths.
     pub fn build(nfa: &Nfa, n: usize) -> UnrolledDag {
         let m = nfa.num_states();
-        // Forward pass: states reachable after exactly t symbols.
-        let mut forward: Vec<StateSet> = Vec::with_capacity(n + 1);
-        let mut cur = StateSet::new(m);
-        cur.insert(nfa.initial());
-        forward.push(cur.clone());
-        for _ in 0..n {
-            let mut next = StateSet::new(m);
-            for q in cur.iter() {
-                for &(_, t) in nfa.transitions_from(q) {
-                    next.insert(t);
-                }
-            }
-            forward.push(next.clone());
-            cur = next;
-        }
-        // Backward pass: states at layer t that can still reach acceptance.
-        let mut viable: Vec<StateSet> = vec![StateSet::new(m); n + 1];
-        for q in forward[n].iter() {
-            if nfa.is_accepting(q) {
-                viable[n].insert(q);
-            }
-        }
-        for t in (0..n).rev() {
-            let (head, tail) = viable.split_at_mut(t + 1);
-            let cur_layer = &mut head[t];
-            let next_layer = &tail[0];
-            for q in forward[t].iter() {
-                if nfa
-                    .transitions_from(q)
-                    .iter()
-                    .any(|&(_, s)| next_layer.contains(s))
-                {
-                    cur_layer.insert(q);
+        let words = m.div_ceil(64);
+        // Forward pass: row `t` of `viable` starts as the states reachable
+        // after exactly `t` symbols.
+        let mut viable = vec![0u64; (n + 1) * words];
+        let initial = nfa.initial();
+        viable[initial / 64] |= 1 << (initial % 64);
+        for t in 0..n {
+            let (done, rest) = viable.split_at_mut((t + 1) * words);
+            for q in bit_indices(&done[t * words..]) {
+                for &(_, s) in nfa.transitions_from(q) {
+                    rest[s / 64] |= 1 << (s % 64);
                 }
             }
         }
-        // Materialize kept nodes layer by layer.
+        // Backward pass, in place: row `t` keeps the states that still reach
+        // acceptance at layer `n` (row `t + 1` is final by then).
+        for t in (0..=n).rev() {
+            let (row, next) = viable[t * words..].split_at_mut(words);
+            for (wi, row_word) in row.iter_mut().enumerate() {
+                for b in bit_indices(&[*row_word]) {
+                    let q = wi * 64 + b;
+                    let keep = if t == n {
+                        nfa.is_accepting(q)
+                    } else {
+                        nfa.transitions_from(q)
+                            .iter()
+                            .any(|&(_, s)| next[s / 64] & (1 << (s % 64)) != 0)
+                    };
+                    if !keep {
+                        *row_word &= !(1 << b);
+                    }
+                }
+            }
+        }
+        // Nodes and rank, both in `(layer, state)` order.
         let mut nodes = Vec::new();
-        let mut layers = vec![Vec::new(); n + 1];
-        let mut index = vec![None; (n + 1) * m];
-        for (t, layer_set) in viable.iter().enumerate() {
-            for q in layer_set.iter() {
-                let id = nodes.len();
-                nodes.push((t, q));
-                layers[t].push(id);
-                index[t * m + q] = Some(id);
+        let mut rank = Vec::with_capacity(viable.len());
+        let mut layer_off = Vec::with_capacity(n + 2);
+        for t in 0..=n {
+            layer_off.push(nodes.len());
+            for wi in 0..words {
+                rank.push(nodes.len());
+                nodes.extend(bit_indices(&[viable[t * words + wi]]).map(|b| (t, wi * 64 + b)));
             }
         }
+        layer_off.push(nodes.len());
+        let mut dag = UnrolledDag {
+            n,
+            alphabet_size: nfa.alphabet().len(),
+            nodes,
+            layer_off,
+            start: None,
+            out_flat: Vec::new(),
+            out_off: Vec::new(),
+            in_flat: Vec::new(),
+            in_off: Vec::new(),
+            viable,
+            rank,
+            m,
+            words,
+        };
+        dag.start = dag.node_at(0, initial);
         // CSR edge arrays: count degrees, prefix-sum into offsets, then fill
         // with per-node write cursors and sort each node's segment.
-        let mut out_off = vec![0usize; nodes.len() + 1];
-        let mut in_off = vec![0usize; nodes.len() + 1];
-        for (id, &(t, q)) in nodes.iter().enumerate() {
-            if t == n {
-                continue;
-            }
+        let num_nodes = dag.nodes.len();
+        let mut out_off = vec![0usize; num_nodes + 1];
+        let mut in_off = vec![0usize; num_nodes + 1];
+        for (id, &(t, q)) in dag.nodes.iter().enumerate() {
             for &(_, s) in nfa.transitions_from(q) {
-                if let Some(succ) = index[(t + 1) * m + s] {
+                if let Some(succ) = dag.node_at(t + 1, s) {
                     out_off[id + 1] += 1;
                     in_off[succ + 1] += 1;
                 }
@@ -133,12 +164,9 @@ impl UnrolledDag {
         let mut in_flat = vec![(0 as Symbol, 0 as NodeId); num_edges];
         let mut out_cur = out_off.clone();
         let mut in_cur = in_off.clone();
-        for (id, &(t, q)) in nodes.iter().enumerate() {
-            if t == n {
-                continue;
-            }
+        for (id, &(t, q)) in dag.nodes.iter().enumerate() {
             for &(a, s) in nfa.transitions_from(q) {
-                if let Some(succ) = index[(t + 1) * m + s] {
+                if let Some(succ) = dag.node_at(t + 1, s) {
                     out_flat[out_cur[id]] = (a, succ);
                     out_cur[id] += 1;
                     in_flat[in_cur[succ]] = (a, id);
@@ -146,26 +174,15 @@ impl UnrolledDag {
                 }
             }
         }
-        for v in 0..nodes.len() {
+        for v in 0..num_nodes {
             out_flat[out_off[v]..out_off[v + 1]].sort_unstable();
             in_flat[in_off[v]..in_off[v + 1]].sort_unstable();
         }
-        let start = index[nfa.initial()];
-        let accepting = layers[n].clone();
-        UnrolledDag {
-            n,
-            alphabet_size: nfa.alphabet().len(),
-            nodes,
-            layers,
-            start,
-            accepting,
-            out_flat,
-            out_off,
-            in_flat,
-            in_off,
-            index,
-            m,
-        }
+        dag.out_flat = out_flat;
+        dag.out_off = out_off;
+        dag.in_flat = in_flat;
+        dag.in_off = in_off;
+        dag
     }
 
     /// The target word length `n`.
@@ -189,24 +206,20 @@ impl UnrolledDag {
     }
 
     /// Rough heap footprint of the DAG in bytes (nodes, CSR edge arrays,
-    /// layer lists, and the `(layer, state)` index) — the sizing input for
-    /// byte-capped caches of prepared instances.
+    /// layer offsets, and the `(layer, state)` rank index)
+    /// — the sizing input for byte-capped caches of prepared instances.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         self.nodes.len() * size_of::<(usize, StateId)>()
             + (self.out_flat.len() + self.in_flat.len()) * size_of::<(Symbol, NodeId)>()
             + (self.out_off.len() + self.in_off.len()) * size_of::<usize>()
-            + self.index.len() * size_of::<Option<NodeId>>()
-            + self
-                .layers
-                .iter()
-                .map(|l| l.len() * size_of::<NodeId>())
-                .sum::<usize>()
+            + (self.layer_off.len() + self.rank.len()) * size_of::<NodeId>()
+            + self.viable.len() * size_of::<u64>()
     }
 
     /// True iff `L_n(N) = ∅` (no start vertex survived, or no accepting vertex).
     pub fn is_empty(&self) -> bool {
-        self.start.is_none() || self.accepting.is_empty()
+        self.start.is_none() || self.accepting().is_empty()
     }
 
     /// The start vertex `(0, initial)`, unless the language is empty.
@@ -214,14 +227,16 @@ impl UnrolledDag {
         self.start
     }
 
-    /// Accepting vertices (all in layer `n`).
-    pub fn accepting(&self) -> &[NodeId] {
-        &self.accepting
+    /// Accepting vertices: layer `n`, where pruning keeps only accepting
+    /// states.
+    pub fn accepting(&self) -> std::ops::Range<NodeId> {
+        self.layer(self.n)
     }
 
-    /// Vertices of a layer, in NFA-state order.
-    pub fn layer(&self, t: usize) -> &[NodeId] {
-        &self.layers[t]
+    /// Vertices of a layer, in NFA-state order: ids are layer-major, so a
+    /// layer is a contiguous id range.
+    pub fn layer(&self, t: usize) -> std::ops::Range<NodeId> {
+        self.layer_off[t]..self.layer_off[t + 1]
     }
 
     /// The `(layer, state)` pair of a vertex.
@@ -230,8 +245,15 @@ impl UnrolledDag {
     }
 
     /// Looks up the vertex for `(layer, state)`, if it survived pruning.
+    /// `None` for a layer past `n` or a state outside the automaton.
     pub fn node_at(&self, layer: usize, state: StateId) -> Option<NodeId> {
-        self.index.get(layer * self.m + state).copied().flatten()
+        if layer > self.n || state >= self.m {
+            return None;
+        }
+        let i = layer * self.words + state / 64;
+        let below = self.viable[i] & ((1u64 << (state % 64)) - 1);
+        (self.viable[i] >> (state % 64) & 1 == 1)
+            .then(|| self.rank[i] + below.count_ones() as usize)
     }
 
     /// Out-edges of `v`, sorted by `(symbol, target)` — the fixed total order
@@ -254,7 +276,7 @@ impl UnrolledDag {
     /// table behind exact counting (§5.3.2) and the table sampler (§5.3.3).
     pub fn completion_counts(&self) -> Vec<BigNat> {
         let mut counts = vec![BigNat::zero(); self.nodes.len()];
-        for &v in &self.accepting {
+        for v in self.accepting() {
             counts[v] = BigNat::one();
         }
         // One wide accumulator reused across every node: the per-node sum
@@ -265,7 +287,7 @@ impl UnrolledDag {
         // path that touches no limb vector at all.
         let mut acc = BigNat::zero();
         for t in (0..self.n).rev() {
-            for &v in &self.layers[t] {
+            for v in self.layer(t) {
                 let outs = self.out_edges(v);
                 let mut small = Some(0u64);
                 for &(_, succ) in outs {
@@ -304,7 +326,7 @@ impl UnrolledDag {
         // buffer that keeps its capacity, not once per out-edge.
         let mut src = BigNat::zero();
         for t in 0..self.n {
-            for &v in &self.layers[t] {
+            for v in self.layer(t) {
                 if counts[v].is_zero() {
                     continue;
                 }
@@ -386,7 +408,7 @@ mod tests {
         // L_3 = {aaa, aab, bba}: 3 paths from start.
         assert_eq!(completions[dag.start().unwrap()], BigNat::from_u64(3));
         let prefixes = dag.prefix_counts();
-        assert_eq!(prefixes[dag.accepting()[0]], BigNat::from_u64(3));
+        assert_eq!(prefixes[dag.accepting().start], BigNat::from_u64(3));
     }
 
     #[test]
@@ -405,7 +427,8 @@ mod tests {
         let dag = UnrolledDag::build(&star, 0);
         assert!(!dag.is_empty());
         assert_eq!(dag.num_nodes(), 1);
-        assert_eq!(dag.accepting(), &[dag.start().unwrap()]);
+        let start = dag.start().unwrap();
+        assert_eq!(dag.accepting(), start..start + 1);
         assert_eq!(dag.completion_counts()[dag.start().unwrap()], BigNat::one());
     }
 
@@ -417,6 +440,97 @@ mod tests {
             assert_eq!(dag.node_at(t, q), Some(v));
         }
         assert_eq!(dag.node_at(1, 6), None, "pruned state is absent");
+    }
+
+    #[test]
+    fn node_at_rejects_states_outside_the_automaton() {
+        let nfa = figure1();
+        let dag = UnrolledDag::build(&nfa, 3);
+        let m = nfa.num_states();
+        assert!(dag.node_at(1, 1).is_some());
+        assert_eq!(dag.node_at(0, m + 1), None);
+        assert_eq!(dag.node_at(0, m), None);
+        assert_eq!(dag.node_at(2, usize::MAX), None);
+        assert_eq!(dag.node_at(4, 0), None, "layer past n");
+    }
+
+    /// Checks `node_at` and `layer` against a linear scan of `nodes`, over
+    /// every layer up to `n + 1` and every state up to `m + 1`.
+    fn assert_index_matches_scan(dag: &UnrolledDag, m: usize) {
+        let ids: Vec<(usize, StateId)> = (0..dag.num_nodes()).map(|v| dag.node_info(v)).collect();
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "ids follow (layer, state)"
+        );
+        for t in 0..=dag.word_length() + 1 {
+            for q in 0..=m + 1 {
+                let scan = ids.iter().position(|&x| x == (t, q));
+                assert_eq!(dag.node_at(t, q), scan, "node_at({t}, {q})");
+            }
+        }
+        for t in 0..=dag.word_length() {
+            let scan: Vec<NodeId> = (0..ids.len()).filter(|&v| ids[v].0 == t).collect();
+            assert_eq!(dag.layer(t).collect::<Vec<_>>(), scan, "layer({t})");
+        }
+    }
+
+    #[test]
+    fn rank_index_matches_a_scan_on_random_automata() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let (mut empty, mut wide) = (0, 0);
+        for m in [1usize, 63, 64, 65, 130] {
+            for seed in 0..12u64 {
+                let mut rng = StdRng::seed_from_u64(seed * 1000 + m as u64);
+                // About 1.5 successors per (state, symbol): some languages
+                // die out, others keep states in every word of a layer.
+                let density = (1.5 / m as f64).min(0.5);
+                let nfa =
+                    crate::families::random_nfa(m, Alphabet::binary(), density, 0.2, &mut rng);
+                for n in [0, 1, 5, 9] {
+                    let dag = UnrolledDag::build(&nfa, n);
+                    empty += usize::from(dag.is_empty());
+                    wide += usize::from((0..dag.num_nodes()).any(|v| dag.node_info(v).1 >= 64));
+                    assert_index_matches_scan(&dag, m);
+                }
+            }
+        }
+        assert!(empty > 0, "the sweep must include empty languages");
+        assert!(
+            wide > 0,
+            "the sweep must include vertices past the first word"
+        );
+    }
+
+    #[test]
+    fn pruned_layers_index_nothing() {
+        // Forward-reachable states exist at every layer, but no word of
+        // length 3 is accepted: every layer is empty after pruning.
+        let ab = Alphabet::binary();
+        let nfa = Regex::parse("00", &ab).unwrap().compile();
+        let dag = UnrolledDag::build(&nfa, 3);
+        for t in 0..=3 {
+            assert!(dag.layer(t).is_empty());
+        }
+        assert_index_matches_scan(&dag, nfa.num_states());
+    }
+
+    #[test]
+    fn index_size_follows_the_dag_not_n_times_m() {
+        // `.*1.{300}`: about 300 states, and about one surviving vertex per
+        // layer. A dense (n+1)·m index alone would be about 1.5 MB.
+        let ab = Alphabet::binary();
+        let pattern = format!(".*1{}", ".".repeat(300));
+        let nfa = Regex::parse(&pattern, &ab).unwrap().compile();
+        assert!(nfa.num_states() > 300);
+        let dag = UnrolledDag::build(&nfa, 320);
+        assert!(!dag.is_empty());
+        assert!(
+            dag.approx_bytes() < 64 * 1024,
+            "{} bytes for {} vertices",
+            dag.approx_bytes(),
+            dag.num_nodes()
+        );
     }
 
     #[test]

@@ -154,11 +154,11 @@ fn fpras_union_kernel(c: &mut Criterion) {
 /// replaced with one reused limb accumulator plus a u64 fast path.
 fn completion_counts_per_edge_alloc(dag: &UnrolledDag) -> Vec<BigNat> {
     let mut counts = vec![BigNat::zero(); dag.num_nodes()];
-    for &v in dag.accepting() {
+    for v in dag.accepting() {
         counts[v] = BigNat::one();
     }
     for t in (0..dag.word_length()).rev() {
-        for &v in dag.layer(t) {
+        for v in dag.layer(t) {
             let mut acc = BigNat::zero();
             for &(_, succ) in dag.out_edges(v) {
                 acc = &acc + &counts[succ];

@@ -15,13 +15,15 @@
 //! format version 2 — the cached FPRAS sketch behind its explicit
 //! `(params, seed)` caching key, so a warm restart serves approximate
 //! counts and Las-Vegas samples without re-running Algorithm 5. The CSR
-//! unrolled DAG is *not* persisted — it is a deterministic linear-time
-//! rebuild from `(N, n)` and is reconstructed eagerly at load time
-//! ([`PreparedInstance::from_snapshot_parts`]) — and neither are the
-//! sketch samples' reach sets, which are the same kind of deterministic
-//! rebuild (`reach_of(N, w)` per persisted sample word). Every persisted
-//! value is a pure function of the instance (plus, for the sketch, its
-//! explicit build seed), so warm answers are bit-identical to cold ones.
+//! unrolled DAG is *not* persisted: it is a deterministic rebuild from
+//! `(N, n)` in `O(|V| + |E| + n·⌈m/64⌉)` after the forward sweep, done
+//! eagerly at load time ([`PreparedInstance::from_snapshot_parts`]).
+//! Neither are the sketch samples' reach sets: the decoder rebuilds all of
+//! them in one pass over the decoded sample words in lexicographic order,
+//! so a prefix shared by many samples is stepped once (each set equals
+//! `reach_of(N, w)`). Every persisted value is a pure
+//! function of the instance (plus, for the sketch, its explicit build
+//! seed), so warm answers are bit-identical to cold ones.
 //!
 //! **File format** (`<fingerprint:016x>.snap`, all integers little-endian;
 //! the normative spec lives in `docs/ARCHITECTURE.md` §5):
@@ -70,11 +72,11 @@ use std::sync::{Arc, Mutex};
 use lsc_arith::{BigFloat, BigNat};
 use lsc_automata::io as nfa_io;
 use lsc_automata::ops::AmbiguityDegree;
-use lsc_automata::{Nfa, Word};
+use lsc_automata::{Nfa, StateSet, Symbol, Word};
 
 use crate::engine::cache::{Engine, InstanceKey};
 use crate::engine::prepared::PreparedInstance;
-use crate::fpras::{reach_of, FprasParams, FprasState, SampleEntry, VertexData};
+use crate::fpras::{reach_all, FprasParams, FprasState, SampleEntry, VertexData};
 use crate::serve::faults::{Fault, FaultPlan, FaultSite};
 
 const MAGIC: &[u8; 8] = b"LSCSNAP1";
@@ -658,10 +660,10 @@ fn put_bigfloat(out: &mut Vec<u8>, v: BigFloat) {
 
 /// The v2 sketch section: the `(params, seed)` caching key, the final
 /// estimate, and the per-vertex table (exact flag, estimate `R(s)`, sample
-/// words). Sample *reach sets* are deliberately not persisted —
-/// `reach_of(N, w)` is a deterministic linear-time rebuild, recomputed at
-/// load time just like the DAG itself — which keeps the section linear in
-/// the sample words rather than quadratic in the automaton.
+/// words). Sample *reach sets* are deliberately not persisted: the decoder
+/// rebuilds them in one prefix-shared pass, just as it rebuilds the DAG,
+/// which keeps the section linear in the sample words rather than
+/// quadratic in the automaton.
 fn encode_sketch(out: &mut Vec<u8>, seed: u64, state: &FprasState) {
     let p = state.params();
     put_u64(out, seed);
@@ -750,9 +752,10 @@ impl<'a> Reader<'a> {
 /// the instance (and its eagerly rebuilt DAG) exists.
 type SketchParts = (u64, FprasParams, BigFloat, Vec<Option<VertexData>>);
 
-/// Parses and validates the v2 sketch section, recomputing each persisted
-/// sample's reach set from the automaton (the counterpart of
-/// `encode_sketch` not persisting them).
+/// Parses and validates the v2 sketch section, then rebuilds every
+/// persisted sample's reach set from the automaton (the counterpart of
+/// `encode_sketch` not persisting them) in one pass over the sample words:
+/// a prefix shared by many samples is stepped once.
 fn decode_sketch(
     r: &mut Reader<'_>,
     nfa: &Nfa,
@@ -813,7 +816,8 @@ fn decode_sketch(
                         }
                         word.push(sym);
                     }
-                    let reach = reach_of(nfa, &word);
+                    // The reach set is rebuilt below, once every word is in.
+                    let reach = StateSet::new(0);
                     samples.push(SampleEntry { word, reach });
                 }
                 data.push(Some(VertexData {
@@ -824,6 +828,21 @@ fn decode_sketch(
             }
             _ => return Err(corrupt("invalid sketch vertex tag")),
         }
+    }
+    let words: Vec<&[Symbol]> = data
+        .iter()
+        .flatten()
+        .flat_map(|v| &v.samples)
+        .map(|s| s.word.as_slice())
+        .collect();
+    let reach = reach_all(nfa, &words);
+    for (sample, reach) in data
+        .iter_mut()
+        .flatten()
+        .flat_map(|v| &mut v.samples)
+        .zip(reach)
+    {
+        sample.reach = reach;
     }
     Ok((seed, params, final_r, data))
 }
@@ -1027,6 +1046,63 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(7);
             let mut sampler = state.witness_sampler();
             (0..8).map(|_| sampler.sample(&mut rng)).collect::<Vec<_>>()
+        };
+        assert_eq!(draws(&warm_state), draws(&cold_state));
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn decoded_reach_sets_match_the_oracle_on_a_wide_automaton() {
+        use lsc_automata::families::random_nfa;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        // 80 states (two reach-set words) over three symbols, so sample
+        // words branch three ways and every reach set spans a word boundary.
+        let ab = Alphabet::from_chars(&['a', 'b', 'c']);
+        let nfa = random_nfa(80, ab, 0.03, 0.2, &mut StdRng::seed_from_u64(5));
+        let store = temp_store("wide-reach");
+        let cold = Arc::new(PreparedInstance::new(nfa.clone(), 9));
+        let mut params = FprasParams::quick();
+        params.k = 8;
+        let cold_state = cold.fpras_sketch(params, 77).unwrap();
+        assert!(
+            cold_state.vertex_stats().1 > 0,
+            "test instance must have sampled vertices"
+        );
+        assert!(store.save(&cold).unwrap());
+
+        let warm = store.load_fingerprint(cold.fingerprint()).unwrap();
+        let warm_state = warm.fpras_sketch(params, 77).unwrap();
+        let mut checked = 0;
+        for (w, c) in warm_state
+            .vertex_data()
+            .iter()
+            .zip(cold_state.vertex_data())
+        {
+            let (Some(w), Some(c)) = (w, c) else {
+                assert!(w.is_none() && c.is_none());
+                continue;
+            };
+            assert_eq!(w.samples.len(), c.samples.len());
+            for (ws, cs) in w.samples.iter().zip(&c.samples) {
+                assert_eq!(ws.word, cs.word);
+                assert_eq!(ws.reach, crate::fpras::reach_of(&nfa, &ws.word));
+                assert_eq!(ws.reach, cs.reach);
+                checked += 1;
+            }
+        }
+        assert!(checked > 64, "only {checked} samples checked");
+        assert_eq!(
+            warm_state.estimate().to_raw_parts(),
+            cold_state.estimate().to_raw_parts()
+        );
+        let draws = |state: &FprasState| {
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut sampler = state.witness_sampler();
+            (0..16)
+                .map(|_| sampler.sample(&mut rng))
+                .collect::<Vec<_>>()
         };
         assert_eq!(draws(&warm_state), draws(&cold_state));
         std::fs::remove_dir_all(store.dir()).ok();

@@ -230,7 +230,7 @@ impl FprasState {
     /// [`FprasState::estimate`].
     pub fn estimate_no_dedup(&self) -> BigFloat {
         let mut total = BigFloat::zero();
-        for &f in self.dag.accepting() {
+        for f in self.dag.accepting() {
             if let Some(d) = &self.data[f] {
                 total = total.add(d.r);
             }
@@ -377,7 +377,7 @@ pub fn run_fpras_on<R: Rng + ?Sized>(
         if !params.exact_handling {
             break; // ablation B4: only the start vertex stays exact
         }
-        for &v in dag.layer(t) {
+        for v in dag.layer(t) {
             let preds = dag.in_edges(v);
             let all_exact = preds
                 .iter()
@@ -418,12 +418,7 @@ pub fn run_fpras_on<R: Rng + ?Sized>(
         .map(|_| SamplerScratch::new(nfa.num_states(), dag.alphabet_size()))
         .collect();
     for t in 1..=n {
-        let pending: Vec<NodeId> = dag
-            .layer(t)
-            .iter()
-            .copied()
-            .filter(|&v| data[v].is_none())
-            .collect();
+        let pending: Vec<NodeId> = dag.layer(t).filter(|&v| data[v].is_none()).collect();
         if pending.is_empty() {
             continue;
         }
@@ -474,7 +469,7 @@ pub fn run_fpras_on<R: Rng + ?Sized>(
     // ctx dispatch as every per-vertex estimate.
     let final_r = {
         let ctx = SampleCtx::new(&dag, &data, nfa_ref, &params);
-        workers[0].estimate(&ctx, dag.accepting())
+        workers[0].estimate(&ctx, &dag.accepting().collect::<Vec<_>>())
     };
     Ok(FprasState {
         nfa,
@@ -522,7 +517,7 @@ fn build_vertex(
     while samples.len() < params.k {
         let mut drawn = None;
         for _ in 0..attempts {
-            if let Some(word) = sample_once(&ctx, scratch, &[v], t, phi0, &mut rng) {
+            if let Some(word) = sample_once(&ctx, scratch, [v], t, phi0, &mut rng) {
                 drawn = Some(word);
                 break;
             }

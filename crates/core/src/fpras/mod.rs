@@ -32,6 +32,7 @@ pub use algorithm::{
     WitnessSampler,
 };
 pub use params::FprasParams;
+pub(crate) use sketch::reach_all;
 pub use sketch::{
     estimate_union_packed, estimate_union_quadratic, estimate_union_with_mask, reach_of, MaskArena,
     SampleEntry, VertexData,

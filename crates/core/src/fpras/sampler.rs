@@ -295,7 +295,7 @@ fn choose_partition<R: Rng + ?Sized>(probs: &[f64], rng: &mut R) -> Option<usize
 pub(crate) fn sample_once<R: Rng + ?Sized>(
     ctx: &SampleCtx<'_>,
     scratch: &mut SamplerScratch,
-    t0: &[NodeId],
+    t0: impl IntoIterator<Item = NodeId>,
     layer0: usize,
     phi0: BigFloat,
     rng: &mut R,
@@ -309,7 +309,7 @@ pub(crate) fn sample_once<R: Rng + ?Sized>(
 pub(crate) fn sample_once_no_rejection<R: Rng + ?Sized>(
     ctx: &SampleCtx<'_>,
     scratch: &mut SamplerScratch,
-    t0: &[NodeId],
+    t0: impl IntoIterator<Item = NodeId>,
     layer0: usize,
     rng: &mut R,
 ) -> Option<Word> {
@@ -319,7 +319,7 @@ pub(crate) fn sample_once_no_rejection<R: Rng + ?Sized>(
 fn sample_inner<R: Rng + ?Sized>(
     ctx: &SampleCtx<'_>,
     scratch: &mut SamplerScratch,
-    t0: &[NodeId],
+    t0: impl IntoIterator<Item = NodeId>,
     layer0: usize,
     phi0: BigFloat,
     rejection: bool,
@@ -336,7 +336,7 @@ fn sample_inner<R: Rng + ?Sized>(
         cache,
     } = scratch;
     members.clear();
-    members.extend_from_slice(t0);
+    members.extend(t0);
     let mut layer = layer0;
     let mut phi = phi0;
     let mut rev: Word = Vec::with_capacity(layer0);

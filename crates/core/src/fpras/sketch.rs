@@ -254,6 +254,54 @@ pub fn reach_of(nfa: &lsc_automata::Nfa, word: &[lsc_automata::Symbol]) -> State
     cur
 }
 
+/// `reach_of(nfa, w)` for every `w` of `words`, in order, stepping each
+/// distinct prefix once. The words are visited in lexicographic order, so
+/// the words sharing a prefix are adjacent: each one steps on from the
+/// reach set of its longest common prefix with the word before it, kept on
+/// a stack of one set per prefix length. The snapshot decoder rebuilds
+/// every stored sample's reach set this way, and most sample words start
+/// alike. Symbols must lie in the automaton's alphabet.
+pub(crate) fn reach_all(
+    nfa: &lsc_automata::Nfa,
+    words: &[&[lsc_automata::Symbol]],
+) -> Vec<StateSet> {
+    use lsc_automata::Symbol;
+    // Sorting by whole-word comparisons cost as much as the stepping it
+    // saves, so the sort key packs each word's leading symbols into a u64,
+    // most significant first, as `symbol + 1` so that a prefix sorts before
+    // its extensions. Only words whose packed symbols tie compare in full.
+    let bits = (u64::BITS - (nfa.alphabet().len() as u64).leading_zeros()).max(1) as usize;
+    let packed = 64 / bits;
+    let key = |w: &[Symbol]| {
+        let symbols = w.iter().take(packed).enumerate();
+        symbols.fold(0, |k, (i, &a)| {
+            k | (u64::from(a) + 1) << (64 - bits * (i + 1))
+        })
+    };
+    let mut order: Vec<(u64, usize)> = words.iter().map(|w| key(w)).zip(0..).collect();
+    order.sort_unstable_by(|&(ka, a), &(kb, b)| ka.cmp(&kb).then_with(|| words[a].cmp(words[b])));
+
+    let m = nfa.num_states();
+    let mut stack = vec![StateSet::new(m)];
+    stack[0].insert(nfa.initial());
+    let mut out = vec![StateSet::new(0); words.len()];
+    let mut prev: &[Symbol] = &[];
+    for (_, i) in order {
+        let word = words[i];
+        let shared = prev.iter().zip(word).take_while(|(a, b)| a == b).count();
+        for (d, &a) in word.iter().enumerate().skip(shared) {
+            if stack.len() == d + 1 {
+                stack.push(StateSet::new(m));
+            }
+            let (done, rest) = stack.split_at_mut(d + 1);
+            nfa.step_set(&done[d], a, &mut rest[0]);
+        }
+        out[i] = stack[word.len()].clone();
+        prev = word;
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,6 +427,36 @@ mod tests {
             (w.to_f64() - expect).abs() < 1e-9,
             "w = {w}, expect {expect}"
         );
+    }
+
+    #[test]
+    fn reach_all_matches_reach_of() {
+        use lsc_automata::families::random_nfa;
+        use lsc_automata::Alphabet;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(11);
+        for m in [1usize, 5, 64, 65, 130] {
+            let ab = Alphabet::from_chars(&['a', 'b', 'c']);
+            let nfa = random_nfa(m, ab, (2.0 / m as f64).min(0.5), 0.3, &mut rng);
+            // Short words over a small alphabet share many prefixes,
+            // including whole words and the empty word. The long words
+            // share 30 to 40 leading symbols, around the 32 that one sort
+            // key holds over three symbols.
+            let mut random_word =
+                |len: usize| -> Word { (0..len).map(|_| rng.gen_range(0..3u32)).collect() };
+            let base = random_word(40);
+            let mut words: Vec<Word> = (0..200).map(|i| random_word(i % 7)).collect();
+            for i in 0..60 {
+                let mut long = base[..30 + i % 11].to_vec();
+                long.extend(random_word(i % 5));
+                words.push(long);
+            }
+            let slices: Vec<&[lsc_automata::Symbol]> = words.iter().map(Vec::as_slice).collect();
+            let oracle: Vec<StateSet> = words.iter().map(|w| reach_of(&nfa, w)).collect();
+            assert_eq!(reach_all(&nfa, &slices), oracle, "m = {m}");
+        }
     }
 
     #[test]

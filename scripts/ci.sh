@@ -113,7 +113,7 @@ LSC_CRITERION_SAMPLES=2 \
 LSC_CRITERION_DIR="$(pwd)/target/lsc-criterion-ci-serve" \
 cargo bench -p lsc-bench --bench serve -- e17-warm-restart
 
-echo "== bench gate: E20-E23 kernel + transport regression check =="
+echo "== bench gate: E20–E24 kernel + transport regression check =="
 scripts/bench_check.sh
 
 echo "== ci.sh: all green =="

@@ -10,7 +10,7 @@
 //! magnitude.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use logspace_repro::prelude::*;
@@ -20,11 +20,23 @@ use rand::SeedableRng;
 
 struct CountingAllocator;
 
-static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Bytes allocated by this thread. Per thread, so tests running in
+    /// parallel in this binary never charge each other's allocations; a
+    /// `const` initializer with no destructor, so the allocator can touch it
+    /// without allocating. The engines below run the default single worker
+    /// thread, so the guarded work all lands on the test's own thread.
+    static ALLOCATED_BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn charge(bytes: usize) {
+    // `try_with`: a thread tearing down its locals may still allocate.
+    let _ = ALLOCATED_BYTES.try_with(|c| c.set(c.get() + bytes));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        charge(layout.size());
         System.alloc(layout)
     }
 
@@ -35,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // Count only the growth: a shrink frees, and a grow allocates the
         // delta in the worst case.
-        ALLOCATED_BYTES.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+        charge(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,10 +55,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
 
+/// Bytes the calling thread allocates while running `f`.
 fn allocated_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let before = ALLOCATED_BYTES.with(Cell::get);
     let value = f();
-    (ALLOCATED_BYTES.load(Ordering::Relaxed) - before, value)
+    (ALLOCATED_BYTES.with(Cell::get) - before, value)
 }
 
 #[test]
