@@ -233,7 +233,7 @@ impl Nfa {
     /// overwhelming probability) structurally identical, which is what the
     /// engine's prepared-instance cache keys on — together with the state and
     /// transition counts as cheap collision insurance
-    /// (`lsc_core::engine::Engine`).
+    /// (`lsc_core::engine::ShardedEngine`).
     ///
     /// The hash is stable across runs and platforms: it folds in only
     /// explicitly ordered `usize`/`u32` data, never addresses or hash-map

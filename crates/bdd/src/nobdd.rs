@@ -328,9 +328,9 @@ mod tests {
 
     #[test]
     fn typed_engine_queries_return_models() {
-        use lsc_core::Engine;
+        use lsc_core::ShardedEngine;
         let d = union_of_vars();
-        let engine = Engine::with_defaults();
+        let engine = ShardedEngine::with_defaults();
         let mut models: Vec<u128> = engine.enumerate(&d).collect();
         models.sort_unstable();
         let expected: Vec<u128> = (0..8).filter(|&a| d.eval(a)).collect();
@@ -345,8 +345,8 @@ mod tests {
         let first: Vec<u128> = cursor.by_ref().take(3).collect();
         let rest: Vec<u128> = engine.resume(&d, &cursor.token()).unwrap().collect();
         assert_eq!(first.into_iter().chain(rest).collect::<Vec<_>>(), full);
-        assert_eq!(engine.stats().misses, 1);
-        assert_eq!(engine.stats().domains, 1, "reduction ran once");
+        assert_eq!(engine.stats().aggregate.misses, 1);
+        assert_eq!(engine.stats().aggregate.domains, 1, "reduction ran once");
     }
 
     #[test]

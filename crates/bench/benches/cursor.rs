@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsc_bench::workloads;
-use lsc_core::engine::{Engine, ResumeToken};
+use lsc_core::engine::{ResumeToken, ShardedEngine};
 use std::sync::Arc;
 
 /// Witnesses per page in the throughput group.
@@ -28,14 +28,14 @@ fn cursor_first_witness_vs_full(c: &mut Criterion) {
     let instance = (Arc::new(w.nfa.clone()), w.n);
     group.bench_function(BenchmarkId::from_parameter("first-witness-cold"), |b| {
         b.iter(|| {
-            let engine = Engine::with_defaults();
+            let engine = ShardedEngine::with_shards(1);
             let mut cursor = engine.enumerate(&instance);
             cursor.next().expect("nonempty language")
         });
     });
     group.bench_function(BenchmarkId::from_parameter("full-materialization"), |b| {
         b.iter(|| {
-            let engine = Engine::with_defaults();
+            let engine = ShardedEngine::with_shards(1);
             engine.enumerate(&instance).count()
         });
     });
@@ -53,7 +53,7 @@ fn cursor_page_throughput(c: &mut Criterion) {
     let instance = (Arc::new(w.nfa.clone()), w.n);
     // A mid-stream resume token, minted once: every warm iteration resumes
     // here, exactly as a paging client would on page k+1.
-    let warm_engine = Engine::with_defaults();
+    let warm_engine = ShardedEngine::with_shards(1);
     let mut opening = warm_engine.enumerate(&instance);
     let opened: usize = opening.by_ref().take(PAGE).count();
     assert_eq!(opened, PAGE);
@@ -68,7 +68,7 @@ fn cursor_page_throughput(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::from_parameter("cold-page"), |b| {
         b.iter(|| {
-            let engine = Engine::with_defaults();
+            let engine = ShardedEngine::with_shards(1);
             let mut cursor = engine.resume(&instance, &token).expect("token accepted");
             cursor.by_ref().take(PAGE).count()
         });

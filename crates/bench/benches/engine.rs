@@ -18,7 +18,7 @@ use lsc_automata::families::blowup_nfa;
 use lsc_automata::Nfa;
 use lsc_bench::workloads;
 use lsc_core::engine::{
-    Engine, EngineConfig, QueryKind, QueryRequest, RouterConfig, ShardedConfig, ShardedEngine,
+    EngineConfig, QueryKind, QueryRequest, RouterConfig, ShardedConfig, ShardedEngine,
 };
 use lsc_core::fpras::FprasParams;
 use lsc_core::MemNfa;
@@ -28,6 +28,12 @@ use rand::SeedableRng;
 /// Repeated queries per measured iteration — the "same automaton, served
 /// many times" workload the engine exists for.
 const QUERIES: usize = 8;
+
+/// A fresh single-shard engine: the warm side of E14 measures serving, not
+/// shard routing.
+fn one_shard(engine: EngineConfig) -> ShardedEngine {
+    ShardedEngine::new(ShardedConfig { engine, shards: 1 })
+}
 
 /// UFA exact route: cold rebuilds the ambiguity check + DAG + completion
 /// table per query; warm pays them once.
@@ -51,7 +57,7 @@ fn engine_warm_vs_cold_exact(c: &mut Criterion) {
             .map(|i| QueryRequest::automaton(nfa.clone(), w.n, QueryKind::CountExact, i as u64))
             .collect();
         b.iter(|| {
-            let engine = Engine::with_defaults();
+            let engine = one_shard(EngineConfig::default());
             engine.query_batch(&requests)
         });
     });
@@ -94,7 +100,7 @@ fn engine_warm_vs_cold_fpras(c: &mut Criterion) {
             ..EngineConfig::default()
         };
         b.iter(|| {
-            let engine = Engine::new(config);
+            let engine = one_shard(config);
             engine.query_batch(&requests)
         });
     });
@@ -125,7 +131,7 @@ fn engine_mixed_traffic(c: &mut Criterion) {
                 ..EngineConfig::default()
             };
             b.iter(|| {
-                let engine = Engine::new(config);
+                let engine = one_shard(config);
                 engine.query_batch(&requests)
             });
         });

@@ -1,56 +1,28 @@
-//! The query engine: a fingerprint-keyed, byte-capped LRU cache of
-//! [`PreparedInstance`]s plus the session, cursor, and batch serving APIs.
+//! The engine's request vocabulary and its per-shard instance cache.
 //!
 //! A production deployment sees the same automata over and over (the same
 //! RPQ against a slowly-changing graph, the same spanner over many
 //! documents, the same DNF reduction re-counted under different lengths).
-//! The engine makes the repeat traffic cheap, in three layers:
-//!
-//! * **Sessions** — [`Engine::prepare`] turns any [`Queryable`] domain object
-//!   into a cheap [`InstanceHandle`]: the reduction runs once per distinct
-//!   domain fingerprint, the prepared artifact lives in the shared cache, and
-//!   the handle is a couple of words to clone. [`QueryRequest`]s take handles
-//!   (or `Arc`'d automata) — nothing on the request path deep-copies an
-//!   automaton.
-//! * **Typed queries** — [`Engine::count`], [`Engine::enumerate`],
-//!   [`Engine::sample`] are generic over [`Queryable`] and return domain
-//!   values: counts with provenance, streaming [`EnumCursor`]s (resumable via
-//!   [`ResumeToken`]s), and amortized [`GenStream`]s.
-//! * **Batch** — the original [`QueryRequest`] / [`QueryResponse`] API,
-//!   rebuilt on top of the cursor surface and kept as the thin compatibility
-//!   layer for callers that want many answers at once, with deterministic
-//!   multi-threaded dispatch.
-//!
-//! **Determinism.** Batch responses are bit-identical at any `threads`
-//! setting and across warm/cold caches:
-//!
-//! * instance resolution (and with it the `cache_hit` flag) happens in a
-//!   single-threaded pass before the fan-out, so flags never depend on
-//!   thread interleaving;
-//! * each request owns its randomness (`QueryRequest::seed`), so execution
-//!   order cannot leak between requests;
-//! * engine-owned randomness (the cached FPRAS sketch) is seeded from
-//!   `config.seed` mixed with the instance fingerprint — a pure function of
-//!   the configuration and the instance, never of arrival order.
-//!
-//! The fan-out itself reuses the thread-chunk scheme of the FPRAS sampling
-//! pass: requests are split into contiguous chunks, one scoped thread per
-//! chunk, each writing into its own slice of the result vector.
+//! The public half of this module is the vocabulary every engine call
+//! speaks: [`EngineConfig`], the session [`InstanceHandle`], and the batch
+//! [`QueryRequest`] / [`QueryResponse`] types. The crate-private half is
+//! [`Shard`]: one fingerprint-keyed, byte-capped LRU of
+//! [`PreparedInstance`]s plus the domain-session memo, with its own
+//! counters. [`ShardedEngine`](crate::engine::ShardedEngine) owns one or
+//! more shards, routes every instance to exactly one of them, and carries
+//! the whole query surface; a shard only resolves, touches, inserts and
+//! evicts.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use lsc_arith::BigNat;
 use lsc_automata::{Nfa, Word};
 
 use crate::count::exact::NotUnambiguousError;
-use crate::engine::cursor::{
-    EnumCursor, GenStream, InvalidTokenError, ResumeToken, WordCursor, WordGenStream,
-};
+use crate::engine::count_route::{RoutedCount, RouterConfig};
 use crate::engine::prepared::PreparedInstance;
 use crate::engine::queryable::Queryable;
-use crate::engine::router::{RoutedCount, RouterConfig};
 use crate::fpras::FprasError;
 
 /// Engine tuning knobs.
@@ -91,10 +63,12 @@ impl Default for EngineConfig {
 }
 
 /// A cheap, clonable reference to one prepared instance in the engine: the
-/// session half of the query API. Obtained from [`Engine::prepare`] (typed)
-/// or [`Engine::prepare_nfa`] (raw); holding one pins the artifact in memory
-/// (the cache may still evict its entry, but the handle keeps serving), and
-/// requests built on a handle skip instance resolution entirely.
+/// session half of the query API. Obtained from
+/// [`ShardedEngine::prepare`](crate::engine::ShardedEngine::prepare) (typed) or
+/// [`ShardedEngine::prepare_nfa`](crate::engine::ShardedEngine::prepare_nfa)
+/// (raw); holding one pins the artifact in memory (the cache may still evict
+/// its entry, but the handle keeps serving), and requests built on a handle
+/// skip instance resolution entirely.
 #[derive(Clone)]
 pub struct InstanceHandle {
     inst: Arc<PreparedInstance>,
@@ -188,14 +162,18 @@ pub enum QueryKind {
     CountExact,
     /// `ENUM`: constant delay on UFA instances, polynomial delay otherwise,
     /// truncated to `limit` witnesses. Batch answers are buffered; use
-    /// [`Engine::enumerate`] / [`Engine::cursor`] for streaming and paging.
+    /// [`ShardedEngine::enumerate`](crate::engine::ShardedEngine::enumerate) /
+    /// [`ShardedEngine::cursor`](crate::engine::ShardedEngine::cursor) for
+    /// streaming and paging.
     Enumerate {
         /// Maximum number of witnesses to return.
         limit: usize,
     },
     /// `GEN`: `count` uniform witnesses (exact on UFA instances, Las Vegas
-    /// otherwise). Batch answers are buffered; use [`Engine::sample`] /
-    /// [`Engine::gen_stream`] for an amortized draw stream.
+    /// otherwise). Batch answers are buffered; use
+    /// [`ShardedEngine::sample`](crate::engine::ShardedEngine::sample) /
+    /// [`ShardedEngine::gen_stream`](crate::engine::ShardedEngine::gen_stream)
+    /// for an amortized draw stream.
     Sample {
         /// Number of witnesses requested.
         count: usize,
@@ -255,8 +233,9 @@ impl From<NotUnambiguousError> for QueryError {
 ///   if the batch as a whole arrived cold (the first occurrence inserted the
 ///   instance);
 /// * a [`QueryTarget::Handle`] request reports a hit as long as its entry is
-///   still cached — normally always, since [`Engine::prepare`] inserted it;
-///   if the entry was evicted in between, the handle re-inserts its pinned
+///   still cached — normally always, since
+///   [`ShardedEngine::prepare`](crate::engine::ShardedEngine::prepare) inserted
+///   it; if the entry was evicted in between, the handle re-inserts its pinned
 ///   instance and reports a miss (no recompilation happens either way);
 /// * hit/miss totals in [`EngineStats`] count resolutions, so `k` duplicate
 ///   requests contribute `1` miss and `k − 1` hits regardless of thread
@@ -318,24 +297,19 @@ struct Entry {
     last_used: u64,
 }
 
-/// One request's resolved instance: the shared artifact, whether it was
-/// already cached, and the cache key (computed once, reused by the
-/// post-execution byte refresh).
-struct Resolved {
-    inst: Arc<PreparedInstance>,
-    cache_hit: bool,
-    key: InstanceKey,
-}
-
+#[derive(Default)]
 struct CacheInner {
     entries: HashMap<InstanceKey, Entry>,
     total_bytes: usize,
     tick: u64,
+    hits: u64,
+    misses: u64,
     evictions: u64,
 }
 
-/// The domain-session memo behind [`Engine::prepare`]: an entry-capped LRU
-/// of reduction outputs.
+/// The domain-session memo behind
+/// [`ShardedEngine::prepare`](crate::engine::ShardedEngine::prepare): an
+/// entry-capped LRU of reduction outputs.
 #[derive(Default)]
 struct DomainMemo {
     entries: HashMap<u64, (Arc<Nfa>, usize, u64)>,
@@ -373,91 +347,43 @@ impl DomainMemo {
     }
 }
 
-/// The prepared-instance query engine. See the module docs.
-///
-/// The typical flow: build one engine for the process, [`Engine::prepare`]
-/// a domain object into a session handle (compiling at most once per
-/// distinct instance), then serve `COUNT` / `ENUM` / `GEN` from the shared
-/// artifact:
-///
-/// ```
-/// use std::sync::Arc;
-/// use lsc_automata::regex::Regex;
-/// use lsc_automata::{Alphabet, Word};
-/// use lsc_core::engine::Engine;
-///
-/// let engine = Engine::with_defaults();
-/// let ab = Alphabet::binary();
-/// let nfa = Arc::new(Regex::parse("(0|1)*101(0|1)*", &ab).unwrap().compile());
-/// let instance = (nfa, 10usize); // the identity Queryable
-///
-/// // COUNT with provenance (exact here: the router determinizes).
-/// let count = engine.count(&instance).unwrap();
-/// assert!(count.is_exact());
-///
-/// // ENUM as a streaming cursor, paged across calls via a resume token.
-/// let mut cursor = engine.enumerate(&instance);
-/// let page: Vec<Word> = cursor.by_ref().take(5).collect();
-/// let token = cursor.token();
-/// let rest: Vec<Word> = engine.resume(&instance, &token).unwrap().collect();
-/// assert_eq!(
-///     (page.len() + rest.len()) as u64,
-///     count.exact.clone().unwrap().to_u64().unwrap(),
-/// );
-///
-/// // GEN as an amortized uniform draw stream (deterministic in its seeds).
-/// let draws: Vec<Word> = engine.sample(&instance, 7).unwrap().take(3).collect();
-/// assert_eq!(draws.len(), 3);
-///
-/// // Everything above compiled the instance exactly once.
-/// assert_eq!(engine.stats().misses, 1);
-/// ```
-pub struct Engine {
-    config: EngineConfig,
+/// One shard of the engine's instance cache: a fingerprint-keyed,
+/// byte-capped LRU of prepared instances, the domain-session memo, and the
+/// shard's own counters. See the module docs.
+pub(crate) struct Shard {
+    /// Byte cap on this shard's instances (approximate accounting; the
+    /// most-recently-used entry is never evicted, so one oversized instance
+    /// still serves).
+    cache_bytes: usize,
+    /// Entry cap on this shard's domain memo.
+    domain_entries: usize,
     inner: Mutex<CacheInner>,
     /// Domain-session memo: `Queryable::domain_fingerprint` → the reduction's
     /// output, so `prepare` re-runs no reduction for a known domain object.
     /// Holds the automaton (which for document/graph products scales with
-    /// the data, hence the `config.domain_entries` LRU cap), never the
-    /// prepared tables — eviction of the instance cache stays effective.
+    /// the data, hence the `domain_entries` LRU cap), never the prepared
+    /// tables — eviction of the instance cache stays effective.
     domains: Mutex<DomainMemo>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
-impl Engine {
-    /// An engine with the given configuration.
-    pub fn new(config: EngineConfig) -> Self {
-        Engine {
-            config,
-            inner: Mutex::new(CacheInner {
-                entries: HashMap::new(),
-                total_bytes: 0,
-                tick: 0,
-                evictions: 0,
-            }),
+impl Shard {
+    /// An empty shard with `config`'s byte and domain caps (the caller has
+    /// already divided them across the fleet).
+    pub(crate) fn new(config: &EngineConfig) -> Shard {
+        Shard {
+            cache_bytes: config.cache_bytes,
+            domain_entries: config.domain_entries,
+            inner: Mutex::new(CacheInner::default()),
             domains: Mutex::new(DomainMemo::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
-    /// An engine with default configuration.
-    pub fn with_defaults() -> Self {
-        Self::new(EngineConfig::default())
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Cache counters.
-    pub fn stats(&self) -> EngineStats {
+    /// This shard's counters.
+    pub(crate) fn stats(&self) -> EngineStats {
         let inner = self.inner.lock().expect("engine cache poisoned");
         EngineStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: inner.hits,
+            misses: inner.misses,
             evictions: inner.evictions,
             entries: inner.entries.len(),
             bytes: inner.total_bytes,
@@ -470,23 +396,13 @@ impl Engine {
         }
     }
 
-    // ---- sessions ----
-
-    /// Opens (or re-opens) a session on a domain object: runs the reduction
-    /// at most once per [`Queryable::domain_fingerprint`], resolves the
-    /// prepared instance through the shared cache, and returns the cheap
-    /// handle everything else is served from.
-    pub fn prepare<Q: Queryable + ?Sized>(&self, queryable: &Q) -> InstanceHandle {
-        let (nfa, length) = self.domain_instance(queryable);
-        self.prepare_nfa(&nfa, length)
-    }
-
-    /// The memoized reduction of a domain object — [`Engine::prepare`]
-    /// without the instance-cache resolution. The sharded resolver
-    /// ([`crate::engine::ShardedEngine`]) uses this to run the reduction on
-    /// the domain's home shard before routing the *instance* by its own
-    /// fingerprint.
-    pub fn domain_instance<Q: Queryable + ?Sized>(&self, queryable: &Q) -> (Arc<Nfa>, usize) {
+    /// The memoized reduction of a domain object: runs
+    /// [`Queryable::to_instance`] at most once per domain fingerprint while
+    /// the memo holds it.
+    pub(crate) fn domain_instance<Q: Queryable + ?Sized>(
+        &self,
+        queryable: &Q,
+    ) -> (Arc<Nfa>, usize) {
         let domain = queryable.domain_fingerprint();
         let memoized = self
             .domains
@@ -501,54 +417,54 @@ impl Engine {
                     domain,
                     nfa.clone(),
                     length,
-                    self.config.domain_entries,
+                    self.domain_entries,
                 );
                 (nfa, length)
             }
         }
     }
 
-    /// A session handle for a raw `(automaton, length)` instance — the
-    /// identity-domain variant of [`Engine::prepare`]: served from the cache
-    /// when present, inserted (lazily, nothing materialized yet) otherwise.
-    pub fn prepare_nfa(&self, nfa: &Arc<Nfa>, length: usize) -> InstanceHandle {
-        let resolved = self.lookup_or_insert(nfa, length);
-        InstanceHandle {
-            inst: resolved.inst,
-            key: resolved.key,
-            cache_hit: resolved.cache_hit,
+    /// Resolves a request target: served from the cache when present,
+    /// inserted otherwise — lazily for an automaton (nothing materialized
+    /// yet; only the `Arc` is cloned), or as the pinned artifact for a
+    /// handle whose entry was evicted (a miss, but no recompilation).
+    pub(crate) fn resolve(&self, target: &QueryTarget) -> InstanceHandle {
+        match target {
+            QueryTarget::Automaton { nfa, length } => self.resolve_nfa(nfa, *length),
+            QueryTarget::Handle(handle) => self.resolve_with(handle.key, || handle.inst.clone()),
         }
     }
 
-    /// [`Engine::prepare_nfa`] with a read-through on a miss: when the
+    /// [`Shard::resolve`] for a raw `(automaton, length)` instance.
+    pub(crate) fn resolve_nfa(&self, nfa: &Arc<Nfa>, length: usize) -> InstanceHandle {
+        self.resolve_with(InstanceKey::of(nfa, length), || {
+            Arc::new(PreparedInstance::from_arc(nfa.clone(), length))
+        })
+    }
+
+    /// [`Shard::resolve_nfa`] with a read-through on a miss: when the
     /// instance is not resident, `load` may supply it (the serving layer
     /// reads a persisted snapshot) before a cold, lazily compiled instance
     /// is built. The lookup and the insert each take the cache lock; `load`
     /// runs between them with no lock held, so file I/O never blocks the
     /// cache. If another resolution inserted the instance meanwhile, that
-    /// entry wins. A read-through still counts as a miss, and the handle
-    /// reports `was_cached() == false` — `cached` means "was resident".
-    /// `load` must return an instance of exactly `(nfa, length)`.
-    pub fn prepare_nfa_or_load(
+    /// entry wins. A read-through still counts as a miss. `load` must
+    /// return an instance of exactly `(nfa, length)`.
+    pub(crate) fn resolve_or_load(
         &self,
         nfa: &Arc<Nfa>,
         length: usize,
         load: impl FnOnce() -> Option<Arc<PreparedInstance>>,
     ) -> InstanceHandle {
         let key = InstanceKey::of(nfa, length);
-        let resident = {
+        {
             let mut inner = self.inner.lock().expect("engine cache poisoned");
-            self.touch_locked(&mut inner, &key)
-        };
-        if let Some(inst) = resident {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return InstanceHandle {
-                inst,
-                key,
-                cache_hit: true,
-            };
+            if let Some(inst) = self.touch_locked(&mut inner, &key) {
+                inner.hits += 1;
+                return handle(inst, key, true);
+            }
+            inner.misses += 1;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let loaded = load();
         debug_assert!(loaded
             .as_ref()
@@ -563,48 +479,25 @@ impl Engine {
                 fresh
             }
         };
-        InstanceHandle {
-            inst,
-            key,
-            cache_hit: false,
-        }
+        handle(inst, key, false)
     }
 
-    /// The prepared instance for `(nfa, length)` — [`Engine::prepare_nfa`]
-    /// without the handle wrapper, for callers that only want the artifact.
-    pub fn prepared(&self, nfa: &Arc<Nfa>, length: usize) -> Arc<PreparedInstance> {
-        self.lookup_or_insert(nfa, length).inst
-    }
-
-    /// Inserts an externally constructed instance into the cache — the
-    /// warm-restart hook behind [`crate::engine::SnapshotStore::warm`]. If
-    /// the key is already cached, the existing artifact wins (and is
-    /// returned); otherwise the given instance enters the LRU. Warm-loading
-    /// is not request traffic, so neither path touches the hit/miss
-    /// counters — the first *query* against a warmed instance reports a
-    /// clean cache hit.
-    pub fn insert_prepared(&self, inst: Arc<PreparedInstance>) -> InstanceHandle {
+    /// Inserts an externally constructed instance (a warm-restart load or
+    /// a migration from another shard). If the key is already cached, the
+    /// existing artifact wins. This is not request traffic, so neither path
+    /// touches the hit/miss counters.
+    pub(crate) fn insert(&self, inst: Arc<PreparedInstance>) -> InstanceHandle {
         let key = InstanceKey::of(inst.nfa_arc(), inst.length());
         let mut inner = self.inner.lock().expect("engine cache poisoned");
         if let Some(existing) = self.touch_locked(&mut inner, &key) {
-            return InstanceHandle {
-                inst: existing,
-                key,
-                cache_hit: true,
-            };
+            return handle(existing, key, true);
         }
         self.insert_locked(&mut inner, key, inst.clone());
-        InstanceHandle {
-            inst,
-            key,
-            cache_hit: false,
-        }
+        handle(inst, key, false)
     }
 
-    /// The instance fingerprints currently resident in the cache, sorted.
-    /// This is the sharding layer's (and the shard tests') introspection
-    /// hook: which instances live *here*.
-    pub fn resident_fingerprints(&self) -> Vec<u64> {
+    /// The instance fingerprints currently resident, sorted.
+    pub(crate) fn resident_fingerprints(&self) -> Vec<u64> {
         let inner = self.inner.lock().expect("engine cache poisoned");
         let mut fps: Vec<u64> = inner
             .entries
@@ -620,7 +513,7 @@ impl Engine {
     /// the predicate, in fingerprint order. The byte accounting shrinks
     /// accordingly; nothing counts as an eviction (the instances are being
     /// *moved*, not dropped — this is the shard add/drain migration hook).
-    pub fn take_instances_where(
+    pub(crate) fn take_instances_where(
         &self,
         mut pred: impl FnMut(u64) -> bool,
     ) -> Vec<Arc<PreparedInstance>> {
@@ -643,114 +536,25 @@ impl Engine {
         out
     }
 
-    // ---- typed queries ----
-
-    /// Routed `COUNT` on a domain object: exact where exactness is
-    /// affordable, the cached FPRAS sketch otherwise, with provenance.
-    ///
-    /// # Errors
-    /// Propagates FPRAS failure events when the FPRAS route fires.
-    pub fn count<Q: Queryable + ?Sized>(&self, queryable: &Q) -> Result<RoutedCount, QueryError> {
-        let handle = self.prepare(queryable);
-        let seed = self.sketch_seed(&handle.inst);
-        Ok(handle.inst.count_routed_cached(&self.config.router, seed)?)
+    /// Re-measures the given resolutions (their lazy tables may have grown
+    /// during execution) and evicts least-recently-used entries until the
+    /// byte cap holds again. Keys come from the resolution — no
+    /// re-fingerprinting here.
+    pub(crate) fn refresh_bytes<'a>(&self, touched: impl IntoIterator<Item = &'a InstanceHandle>) {
+        let mut inner = self.inner.lock().expect("engine cache poisoned");
+        let mut delta: isize = 0;
+        for r in touched {
+            let fresh = r.inst.approx_bytes();
+            if let Some(entry) = inner.entries.get_mut(&r.key) {
+                if Arc::ptr_eq(&entry.inst, &r.inst) {
+                    delta += fresh as isize - entry.bytes as isize;
+                    entry.bytes = fresh;
+                }
+            }
+        }
+        inner.total_bytes = inner.total_bytes.saturating_add_signed(delta);
+        self.evict_locked(&mut inner);
     }
-
-    /// Exact `COUNT` on a domain object (Theorem 5, unambiguous reductions
-    /// only).
-    ///
-    /// # Errors
-    /// [`QueryError::NotUnambiguous`] on ambiguous instances.
-    pub fn count_exact<Q: Queryable + ?Sized>(&self, queryable: &Q) -> Result<BigNat, QueryError> {
-        Ok(self.prepare(queryable).inst.count_exact()?)
-    }
-
-    /// Streaming `ENUM` on a domain object: a typed cursor yielding decoded
-    /// witnesses lazily (constant delay on unambiguous instances, polynomial
-    /// otherwise), resumable across calls via [`EnumCursor::token`] and
-    /// [`Engine::resume`].
-    pub fn enumerate<'q, Q: Queryable + ?Sized>(&self, queryable: &'q Q) -> EnumCursor<'q, Q> {
-        let handle = self.prepare(queryable);
-        EnumCursor::new(queryable, WordCursor::fresh(handle.inst))
-    }
-
-    /// Reconstructs a typed cursor at a token's position; the continued
-    /// stream is bit-identical to the uninterrupted one.
-    ///
-    /// # Errors
-    /// [`InvalidTokenError`] if the token does not belong to this domain
-    /// object's instance or encodes an impossible position.
-    pub fn resume<'q, Q: Queryable + ?Sized>(
-        &self,
-        queryable: &'q Q,
-        token: &ResumeToken,
-    ) -> Result<EnumCursor<'q, Q>, InvalidTokenError> {
-        let handle = self.prepare(queryable);
-        Ok(EnumCursor::new(
-            queryable,
-            WordCursor::resume(handle.inst, token)?,
-        ))
-    }
-
-    /// `GEN` on a domain object: an amortized uniform draw stream yielding
-    /// decoded witnesses. Deterministic in `(instance, engine seed,
-    /// draw_seed)`.
-    ///
-    /// # Errors
-    /// Propagates FPRAS failure events from the (cached) sketch build on the
-    /// ambiguous route.
-    pub fn sample<'q, Q: Queryable + ?Sized>(
-        &self,
-        queryable: &'q Q,
-        draw_seed: u64,
-    ) -> Result<GenStream<'q, Q>, QueryError> {
-        let handle = self.prepare(queryable);
-        let stream = self.gen_stream(&handle, draw_seed)?;
-        Ok(GenStream::new(queryable, stream))
-    }
-
-    // ---- word-level sessions (handles in, raw words out) ----
-
-    /// A raw-word cursor over a session handle (the untyped sibling of
-    /// [`Engine::enumerate`], for tools that print words directly).
-    pub fn cursor(&self, handle: &InstanceHandle) -> WordCursor {
-        WordCursor::fresh(handle.inst.clone())
-    }
-
-    /// Reconstructs a raw-word cursor at a token's position.
-    ///
-    /// # Errors
-    /// [`InvalidTokenError`] if the token does not belong to the handle's
-    /// instance or encodes an impossible position.
-    pub fn resume_cursor(
-        &self,
-        handle: &InstanceHandle,
-        token: &ResumeToken,
-    ) -> Result<WordCursor, InvalidTokenError> {
-        WordCursor::resume(handle.inst.clone(), token)
-    }
-
-    /// A raw-word uniform draw stream over a session handle (the untyped
-    /// sibling of [`Engine::sample`]).
-    ///
-    /// # Errors
-    /// Propagates FPRAS failure events from the (cached) sketch build on the
-    /// ambiguous route.
-    pub fn gen_stream(
-        &self,
-        handle: &InstanceHandle,
-        draw_seed: u64,
-    ) -> Result<WordGenStream, QueryError> {
-        Ok(WordGenStream::new(
-            &handle.inst,
-            &self.config.router,
-            self.config.retries,
-            self.sketch_seed(&handle.inst),
-            draw_seed,
-        )?)
-    }
-
-    // ---- cache internals ----
 
     /// Resolves `key` through the cache: on a hit, touches LRU state and
     /// re-measures the entry; on a miss, inserts whatever `make` builds.
@@ -758,24 +562,16 @@ impl Engine {
         &self,
         key: InstanceKey,
         make: impl FnOnce() -> Arc<PreparedInstance>,
-    ) -> Resolved {
+    ) -> InstanceHandle {
         let mut inner = self.inner.lock().expect("engine cache poisoned");
         if let Some(inst) = self.touch_locked(&mut inner, &key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Resolved {
-                inst,
-                cache_hit: true,
-                key,
-            };
+            inner.hits += 1;
+            return handle(inst, key, true);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        inner.misses += 1;
         let inst = make();
         self.insert_locked(&mut inner, key, inst.clone());
-        Resolved {
-            inst,
-            cache_hit: false,
-            key,
-        }
+        handle(inst, key, false)
     }
 
     /// Advances the LRU clock and, if `key` is resident, marks it most
@@ -802,7 +598,7 @@ impl Engine {
     }
 
     /// Inserts `inst` under `key` as the most recently used entry (the
-    /// clock tick of the [`Engine::touch_locked`] that just missed) and
+    /// clock tick of the [`Shard::touch_locked`] that just missed) and
     /// enforces the byte cap.
     fn insert_locked(&self, inner: &mut CacheInner, key: InstanceKey, inst: Arc<PreparedInstance>) {
         let bytes = inst.approx_bytes();
@@ -819,51 +615,8 @@ impl Engine {
         self.evict_locked(inner);
     }
 
-    fn lookup_or_insert(&self, nfa: &Arc<Nfa>, length: usize) -> Resolved {
-        let key = InstanceKey::of(nfa, length);
-        // A miss clones only the `Arc` — the automaton itself is never
-        // deep-copied on the request path.
-        self.resolve_with(key, || {
-            Arc::new(PreparedInstance::from_arc(nfa.clone(), length))
-        })
-    }
-
-    /// Resolution for handle-carrying requests: an LRU touch when the entry
-    /// survives, a re-insert of the pinned instance (reported as a miss, but
-    /// with zero recompilation) when it was evicted.
-    fn resolve_handle(&self, handle: &InstanceHandle) -> Resolved {
-        self.resolve_with(handle.key, || handle.inst.clone())
-    }
-
-    fn resolve_target(&self, target: &QueryTarget) -> Resolved {
-        match target {
-            QueryTarget::Automaton { nfa, length } => self.lookup_or_insert(nfa, *length),
-            QueryTarget::Handle(handle) => self.resolve_handle(handle),
-        }
-    }
-
-    /// Re-measures the given instances (their lazy tables may have grown
-    /// during execution) and evicts least-recently-used entries until the
-    /// byte cap holds again. Keys come from the resolution pass — no
-    /// re-fingerprinting here.
-    fn refresh_bytes(&self, touched: &[Resolved]) {
-        let mut inner = self.inner.lock().expect("engine cache poisoned");
-        let mut delta: isize = 0;
-        for r in touched {
-            let fresh = r.inst.approx_bytes();
-            if let Some(entry) = inner.entries.get_mut(&r.key) {
-                if Arc::ptr_eq(&entry.inst, &r.inst) {
-                    delta += fresh as isize - entry.bytes as isize;
-                    entry.bytes = fresh;
-                }
-            }
-        }
-        inner.total_bytes = inner.total_bytes.saturating_add_signed(delta);
-        self.evict_locked(&mut inner);
-    }
-
     fn evict_locked(&self, inner: &mut CacheInner) {
-        while inner.total_bytes > self.config.cache_bytes && inner.entries.len() > 1 {
+        while inner.total_bytes > self.cache_bytes && inner.entries.len() > 1 {
             let newest = inner
                 .entries
                 // lsc-analyze: allow(nondeterministic-iteration) reason="max over unique monotonic last_used ticks; order-independent"
@@ -885,117 +638,31 @@ impl Engine {
             inner.evictions += 1;
         }
     }
+}
 
-    /// Engine-owned seed for an instance's cached FPRAS sketch: a pure
-    /// function of the configuration and the fingerprint.
-    fn sketch_seed(&self, inst: &PreparedInstance) -> u64 {
-        self.config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ inst.fingerprint()
-    }
-
-    /// One batch execution, rebuilt on the streaming surface: `Enumerate`
-    /// buffers a cursor page, `Sample` buffers a draw-stream prefix, so the
-    /// compatibility layer and the cursors can never disagree on content or
-    /// order.
-    fn execute(
-        &self,
-        inst: &Arc<PreparedInstance>,
-        kind: QueryKind,
-        seed: u64,
-    ) -> Result<QueryOutput, QueryError> {
-        match kind {
-            QueryKind::Count => Ok(QueryOutput::Count(
-                inst.count_routed_cached(&self.config.router, self.sketch_seed(inst))?,
-            )),
-            QueryKind::CountExact => Ok(QueryOutput::Exact(inst.count_exact()?)),
-            QueryKind::Enumerate { limit } => Ok(QueryOutput::Words(
-                WordCursor::fresh(inst.clone()).take(limit).collect(),
-            )),
-            QueryKind::Sample { count } => {
-                let stream = WordGenStream::new(
-                    inst,
-                    &self.config.router,
-                    self.config.retries,
-                    self.sketch_seed(inst),
-                    seed,
-                )?;
-                Ok(QueryOutput::Words(stream.take(count).collect()))
-            }
-        }
-    }
-
-    /// Answers one request.
-    pub fn query(&self, request: &QueryRequest) -> QueryResponse {
-        self.query_batch(std::slice::from_ref(request))
-            .pop()
-            .expect("one response per request")
-    }
-
-    /// Answers a batch, fanning execution across `config.threads` workers
-    /// (chunked like the FPRAS sampling pass; see the module docs for why the
-    /// responses are identical at any thread count).
-    pub fn query_batch(&self, requests: &[QueryRequest]) -> Vec<QueryResponse> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        // Phase 1, single-threaded: resolve every instance (and the hit
-        // flags) deterministically.
-        let resolved: Vec<Resolved> = requests
-            .iter()
-            .map(|r| self.resolve_target(&r.target))
-            .collect();
-        // Phase 2: execute, chunked across scoped threads.
-        let threads = self.config.threads.clamp(1, requests.len());
-        let outputs: Vec<Result<QueryOutput, QueryError>> = if threads == 1 {
-            requests
-                .iter()
-                .zip(&resolved)
-                .map(|(r, res)| self.execute(&res.inst, r.kind, r.seed))
-                .collect()
-        } else {
-            let mut slots: Vec<Option<Result<QueryOutput, QueryError>>> =
-                (0..requests.len()).map(|_| None).collect();
-            let chunk = requests.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for ((reqs, insts), out) in requests
-                    .chunks(chunk)
-                    .zip(resolved.chunks(chunk))
-                    .zip(slots.chunks_mut(chunk))
-                {
-                    scope.spawn(move || {
-                        for ((r, res), slot) in reqs.iter().zip(insts).zip(out) {
-                            *slot = Some(self.execute(&res.inst, r.kind, r.seed));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("thread filled slot"))
-                .collect()
-        };
-        // Phase 3, single-threaded: account for whatever the queries
-        // materialized, and enforce the byte cap.
-        self.refresh_bytes(&resolved);
-        outputs
-            .into_iter()
-            .zip(resolved)
-            .map(|(output, res)| QueryResponse {
-                output,
-                cache_hit: res.cache_hit,
-            })
-            .collect()
+fn handle(inst: Arc<PreparedInstance>, key: InstanceKey, cache_hit: bool) -> InstanceHandle {
+    InstanceHandle {
+        inst,
+        key,
+        cache_hit,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{ResumeToken, ShardedConfig, ShardedEngine};
     use lsc_automata::families::{ambiguity_gap_nfa, blowup_nfa};
     use lsc_automata::regex::Regex;
     use lsc_automata::Alphabet;
 
     fn exact_count_request(k: usize, n: usize) -> QueryRequest {
         QueryRequest::automaton(blowup_nfa(k), n, QueryKind::CountExact, 0)
+    }
+
+    /// The cache semantics are a shard's: pinned on a one-shard engine.
+    fn one_shard(engine: EngineConfig) -> ShardedEngine {
+        ShardedEngine::new(ShardedConfig { engine, shards: 1 })
     }
 
     fn target_nfa(r: &QueryRequest) -> Arc<Nfa> {
@@ -1014,7 +681,7 @@ mod tests {
 
     #[test]
     fn warm_requests_hit_the_cache() {
-        let engine = Engine::with_defaults();
+        let engine = one_shard(EngineConfig::default());
         let r = exact_count_request(4, 10);
         let cold = engine.query(&r);
         assert!(!cold.cache_hit);
@@ -1025,7 +692,7 @@ mod tests {
             panic!("exact counts expected");
         };
         assert_eq!(a, b);
-        let stats = engine.stats();
+        let stats = engine.stats().aggregate;
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!(stats.bytes > 0);
     }
@@ -1037,50 +704,50 @@ mod tests {
             cache_bytes: 1, // everything over budget: keep only the newest
             ..EngineConfig::default()
         };
-        let engine = Engine::new(config);
+        let engine = one_shard(config);
         let a = exact_count_request(4, 10);
         let b = exact_count_request(5, 12);
         engine.query(&a);
         engine.query(&b); // evicts a
-        assert_eq!(engine.stats().entries, 1);
-        assert!(engine.stats().evictions >= 1);
+        assert_eq!(engine.stats().aggregate.entries, 1);
+        assert!(engine.stats().aggregate.evictions >= 1);
         let again = engine.query(&a); // must be a fresh miss
         assert!(!again.cache_hit, "evicted instance cannot hit");
         // A generous cap keeps both.
-        let engine = Engine::with_defaults();
+        let engine = one_shard(EngineConfig::default());
         engine.query(&a);
         engine.query(&b);
-        assert_eq!(engine.stats().entries, 2);
+        assert_eq!(engine.stats().aggregate.entries, 2);
         assert!(engine.query(&a).cache_hit);
-        assert_eq!(engine.stats().evictions, 0);
+        assert_eq!(engine.stats().aggregate.evictions, 0);
     }
 
     #[test]
     fn byte_accounting_tracks_materialized_tables() {
-        let engine = Engine::with_defaults();
+        let engine = one_shard(EngineConfig::default());
         let r = exact_count_request(6, 20);
         engine.prepared(&target_nfa(&r), target_length(&r)); // lazy insert
-        let before = engine.stats().bytes;
+        let before = engine.stats().aggregate.bytes;
         engine.query(&r); // materializes the DAG + completion table
         assert!(
-            engine.stats().bytes > before,
+            engine.stats().aggregate.bytes > before,
             "post-query refresh must record the grown tables"
         );
     }
 
     #[test]
     fn directly_held_arcs_are_accounted_on_next_touch() {
-        // Tables materialized through an Arc from Engine::prepared (the
+        // Tables materialized through an Arc from ShardedEngine::prepared (the
         // app-crate usage path) bypass query_batch's refresh; the next cache
         // touch must pick the growth up.
-        let engine = Engine::with_defaults();
+        let engine = one_shard(EngineConfig::default());
         let r = exact_count_request(6, 20);
         let inst = engine.prepared(&target_nfa(&r), target_length(&r));
-        let before = engine.stats().bytes;
+        let before = engine.stats().aggregate.bytes;
         let _ = inst.count_exact().unwrap();
         let _ = engine.prepared(&target_nfa(&r), target_length(&r));
         assert!(
-            engine.stats().bytes > before,
+            engine.stats().aggregate.bytes > before,
             "hit-path re-measure must record tables built through the Arc"
         );
     }
@@ -1089,7 +756,7 @@ mod tests {
     fn batch_marks_duplicate_instances_as_hits() {
         // The regression pin for intra-batch duplicate semantics (see the
         // `QueryResponse` docs): flags and stats follow resolution order.
-        let engine = Engine::with_defaults();
+        let engine = one_shard(EngineConfig::default());
         let reqs = vec![
             exact_count_request(4, 10),
             exact_count_request(5, 10),
@@ -1102,7 +769,7 @@ mod tests {
             responses.iter().map(|r| r.cache_hit).collect::<Vec<_>>(),
             vec![false, false, true, true, true]
         );
-        let stats = engine.stats();
+        let stats = engine.stats().aggregate;
         assert_eq!(
             (stats.hits, stats.misses, stats.entries),
             (3, 2, 2),
@@ -1112,7 +779,7 @@ mod tests {
 
     #[test]
     fn handle_requests_skip_resolution_and_report_hits() {
-        let engine = Engine::with_defaults();
+        let engine = one_shard(EngineConfig::default());
         let nfa = Arc::new(blowup_nfa(4));
         let handle = engine.prepare_nfa(&nfa, 10);
         assert!(!handle.was_cached(), "first prepare is the miss");
@@ -1128,13 +795,13 @@ mod tests {
         );
         // All resolutions point at the very Arc the handle pins.
         assert!(Arc::ptr_eq(handle.instance(), &engine.prepared(&nfa, 10)));
-        let stats = engine.stats();
+        let stats = engine.stats().aggregate;
         assert_eq!((stats.hits, stats.misses), (4, 1));
     }
 
     #[test]
     fn read_through_misses_load_without_the_lock_and_racing_inserts_win() {
-        let engine = Engine::with_defaults();
+        let engine = one_shard(EngineConfig::default());
         let nfa = Arc::new(blowup_nfa(3));
         let loaded = Arc::new(PreparedInstance::from_arc(nfa.clone(), 8));
         let handle = engine.prepare_nfa_or_load(&nfa, 8, || Some(loaded.clone()));
@@ -1146,7 +813,13 @@ mod tests {
         // Resident now: the loader is not consulted again.
         let again = engine.prepare_nfa_or_load(&nfa, 8, || unreachable!("hit"));
         assert!(again.was_cached());
-        assert_eq!((engine.stats().hits, engine.stats().misses), (1, 1));
+        assert_eq!(
+            (
+                engine.stats().aggregate.hits,
+                engine.stats().aggregate.misses
+            ),
+            (1, 1)
+        );
         // The loader runs with the cache unlocked (it can use the engine),
         // and an entry inserted while it ran beats the loaded one.
         let other = Arc::new(blowup_nfa(4));
@@ -1163,7 +836,7 @@ mod tests {
         // No loader result compiles cold, lazily.
         let cold = engine.prepare_nfa_or_load(&Arc::new(blowup_nfa(2)), 5, || None);
         assert!(!cold.was_cached());
-        assert_eq!(engine.stats().misses, 3);
+        assert_eq!(engine.stats().aggregate.misses, 3);
     }
 
     #[test]
@@ -1172,7 +845,7 @@ mod tests {
             cache_bytes: 1,
             ..EngineConfig::default()
         };
-        let engine = Engine::new(config);
+        let engine = one_shard(config);
         let a = Arc::new(blowup_nfa(4));
         let handle = engine.prepare_nfa(&a, 10);
         engine.query(&exact_count_request(5, 12)); // evicts a's entry
@@ -1190,7 +863,7 @@ mod tests {
     fn all_three_problems_serve_from_one_instance() {
         let ab = Alphabet::binary();
         let nfa = Arc::new(Regex::parse("(0|1)*11(0|1)*", &ab).unwrap().compile());
-        let engine = Engine::with_defaults();
+        let engine = one_shard(EngineConfig::default());
         let reqs = vec![
             QueryRequest::automaton(nfa.clone(), 7, QueryKind::Count, 1),
             QueryRequest::automaton(
@@ -1212,8 +885,8 @@ mod tests {
             panic!("samples expected")
         };
         // One instance resolved three times.
-        assert_eq!(engine.stats().misses, 1);
-        assert_eq!(engine.stats().hits, 2);
+        assert_eq!(engine.stats().aggregate.misses, 1);
+        assert_eq!(engine.stats().aggregate.hits, 2);
         if let Some(exact) = &count.exact {
             assert_eq!(words.len() as u64, exact.to_u64().unwrap());
         }
@@ -1224,7 +897,7 @@ mod tests {
 
     #[test]
     fn exact_count_on_ambiguous_reports_error() {
-        let engine = Engine::with_defaults();
+        let engine = one_shard(EngineConfig::default());
         let r = QueryRequest::automaton(ambiguity_gap_nfa(3), 8, QueryKind::CountExact, 0);
         assert_eq!(
             engine.query(&r).output.unwrap_err(),
@@ -1238,7 +911,7 @@ mod tests {
         // cursor, and stream agree, and the domain index memoizes the
         // (trivial) reduction.
         let instance = (Arc::new(blowup_nfa(3)), 8usize);
-        let engine = Engine::with_defaults();
+        let engine = one_shard(EngineConfig::default());
         let count = engine.count_exact(&instance).unwrap().to_u64().unwrap();
         let words: Vec<Word> = engine.enumerate(&instance).collect();
         assert_eq!(words.len() as u64, count);
@@ -1246,7 +919,7 @@ mod tests {
         for w in &samples {
             assert!(instance.0.accepts(w));
         }
-        let stats = engine.stats();
+        let stats = engine.stats().aggregate;
         assert_eq!(stats.misses, 1, "one prepared instance for all entries");
         assert_eq!(stats.domains, 1, "one memoized domain session");
     }
@@ -1259,26 +932,26 @@ mod tests {
             domain_entries: 2,
             ..EngineConfig::default()
         };
-        let engine = Engine::new(config);
+        let engine = one_shard(config);
         let a = (Arc::new(blowup_nfa(3)), 6usize);
         let b = (Arc::new(blowup_nfa(4)), 6usize);
         let c = (Arc::new(blowup_nfa(5)), 6usize);
         engine.prepare(&a);
         engine.prepare(&b);
-        assert_eq!(engine.stats().domains, 2);
+        assert_eq!(engine.stats().aggregate.domains, 2);
         engine.prepare(&a); // touch: b is now the LRU session
         engine.prepare(&c); // evicts b
-        assert_eq!(engine.stats().domains, 2, "cap holds");
+        assert_eq!(engine.stats().aggregate.domains, 2, "cap holds");
         // An evicted session is not an error — it just re-runs the
         // reduction and re-enters the memo.
         engine.prepare(&b);
-        assert_eq!(engine.stats().domains, 2);
+        assert_eq!(engine.stats().aggregate.domains, 2);
     }
 
     #[test]
     fn typed_cursor_resume_round_trips() {
         let instance = (Arc::new(blowup_nfa(3)), 8usize);
-        let engine = Engine::with_defaults();
+        let engine = one_shard(EngineConfig::default());
         let all: Vec<Word> = engine.enumerate(&instance).collect();
         let mut cursor = engine.enumerate(&instance);
         let first: Vec<Word> = cursor.by_ref().take(3).collect();

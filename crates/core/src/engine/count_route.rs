@@ -1,4 +1,4 @@
-//! Ambiguity-aware counting routes — the router, folded into the engine.
+//! Ambiguity-aware count routes: which counting algorithm answers `COUNT`.
 //!
 //! The paper's theorems split cleanly: unambiguous instances get exact
 //! polynomial counting (Theorem 5), everything else gets the FPRAS
@@ -20,7 +20,7 @@
 //! decision machinery lives on [`PreparedInstance`], where the ambiguity
 //! check, the determinization probe, and the per-route tables are all cached
 //! — so under the engine a routing decision is made once per instance, not
-//! re-probed per request as the original standalone `count::router` did.
+//! re-probed per request.
 
 use lsc_arith::{BigFloat, BigNat};
 use lsc_automata::ops::AmbiguityDegree;
@@ -91,7 +91,8 @@ impl RoutedCount {
 /// Counts `|L_n(N)|`, choosing the cheapest sound algorithm — the one-shot
 /// entry point, compiling a transient [`PreparedInstance`] per call. For
 /// repeated queries, hold the instance (or go through
-/// [`crate::engine::Engine`]) so the classification and tables are reused.
+/// [`crate::engine::ShardedEngine`]) so the classification and tables are
+/// reused.
 ///
 /// # Errors
 /// Propagates [`FprasError`] when the FPRAS route fires and its (vanishing

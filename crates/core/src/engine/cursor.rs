@@ -38,8 +38,8 @@ use lsc_automata::{Symbol, Word};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::engine::count_route::RouterConfig;
 use crate::engine::queryable::Queryable;
-use crate::engine::router::RouterConfig;
 use crate::engine::PreparedInstance;
 use crate::enumerate::{ConstantDelayEnumerator, PolyDelayEnumerator};
 use crate::fpras::{FprasError, SharedWitnessSampler};
@@ -355,7 +355,7 @@ impl WordCursor {
 
     /// The current position as a serializable token: hand it out after a
     /// page, feed it to [`WordCursor::resume`] (or
-    /// `Engine::resume`) to continue exactly where this cursor stands.
+    /// `ShardedEngine::resume`) to continue exactly where this cursor stands.
     ///
     /// The position payload is materialized here, from the enumerator's live
     /// state — one snapshot per token minted, not one per word yielded.
@@ -413,10 +413,10 @@ impl Iterator for WordCursor {
 
 /// The typed enumeration cursor: a [`WordCursor`] composed with a
 /// [`Queryable`]'s witness decoder, yielding domain values lazily. Created by
-/// `Engine::enumerate` (fresh) and `Engine::resume` (from a token); pages
+/// `ShardedEngine::enumerate` (fresh) and `ShardedEngine::resume` (from a token); pages
 /// and tokens behave exactly as on the underlying [`WordCursor`] (tokens
 /// address raw-word positions, so word-level and typed cursors can even
-/// share them — `Engine::cursor` / `Engine::resume_cursor` are the
+/// share them — `ShardedEngine::cursor` / `ShardedEngine::resume_cursor` are the
 /// word-level siblings).
 pub struct EnumCursor<'q, Q: Queryable + ?Sized> {
     source: &'q Q,
@@ -560,7 +560,7 @@ impl Iterator for WordGenStream {
 }
 
 /// The typed draw stream: a [`WordGenStream`] composed with a [`Queryable`]'s
-/// witness decoder. Created by `Engine::sample`.
+/// witness decoder. Created by `ShardedEngine::sample`.
 pub struct GenStream<'q, Q: Queryable + ?Sized> {
     source: &'q Q,
     words: WordGenStream,

@@ -38,7 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::count::exact::NotUnambiguousError;
-use crate::engine::router::{CountRoute, RoutedCount, RouterConfig};
+use crate::engine::count_route::{CountRoute, RoutedCount, RouterConfig};
 use crate::enumerate::{ConstantDelayEnumerator, PolyDelayEnumerator};
 use crate::fpras::{run_fpras_on, FprasError, FprasParams, FprasState};
 use crate::sample::TableSampler;

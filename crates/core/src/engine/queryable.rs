@@ -15,15 +15,15 @@
 //! * [`Queryable::domain_fingerprint`] names the instance stably, so the
 //!   engine can skip re-running the reduction for a domain object it has
 //!   already prepared (the session half of the redesign — see
-//!   [`Engine::prepare`](crate::engine::Engine::prepare)).
+//!   [`ShardedEngine::prepare`](crate::engine::ShardedEngine::prepare)).
 //!
 //! Every application type implements it — `DnfFormula` decodes to assignment
 //! bitmasks, `RpqInstance` to graph paths, `SpannerInstance` to span
 //! mappings, `RegularGrammar` and the raw identity instances to the words
 //! themselves — and the generic engine entry points
-//! ([`count`](crate::engine::Engine::count),
-//! [`enumerate`](crate::engine::Engine::enumerate),
-//! [`sample`](crate::engine::Engine::sample)) serve all of them from one
+//! ([`count`](crate::engine::ShardedEngine::count),
+//! [`enumerate`](crate::engine::ShardedEngine::enumerate),
+//! [`sample`](crate::engine::ShardedEngine::sample)) serve all of them from one
 //! shared prepared-instance cache.
 
 use std::sync::Arc;
@@ -48,7 +48,7 @@ use crate::MemNfa;
 /// use std::sync::Arc;
 /// use lsc_automata::regex::Regex;
 /// use lsc_automata::{Alphabet, Nfa, Word};
-/// use lsc_core::engine::{domain_fingerprint, Engine, Queryable};
+/// use lsc_core::engine::{domain_fingerprint, Queryable, ShardedEngine};
 ///
 /// /// Length-`n` bit strings ending in `11`, decoded to their popcount.
 /// struct EndsIn11 {
@@ -73,14 +73,14 @@ use crate::MemNfa;
 ///     }
 /// }
 ///
-/// let engine = Engine::with_defaults();
+/// let engine = ShardedEngine::with_defaults();
 /// let domain = EndsIn11 { length: 6 };
 /// let popcounts: Vec<u32> = engine.enumerate(&domain).collect();
 /// assert!(popcounts.iter().all(|&ones| ones >= 2));
 /// // The reduction ran once; repeat queries reuse the session.
 /// let again: Vec<u32> = engine.enumerate(&domain).collect();
 /// assert_eq!(popcounts, again);
-/// assert_eq!(engine.stats().domains, 1);
+/// assert_eq!(engine.stats().aggregate.domains, 1);
 /// ```
 pub trait Queryable {
     /// The domain's witness type: what a raw word decodes to.

@@ -1,23 +1,39 @@
-//! The sharded resolver: N independent [`Engine`] shards behind one
-//! consistent-hash shard map.
+//! The query engine: [`ShardedEngine`], N independent cache shards behind
+//! one consistent-hash shard map, and the whole session, typed, word-level
+//! and batch serving surface on top of them.
 //!
-//! One [`Engine`] is one mutex-guarded LRU — correct, but every resolution
-//! (cache lookup, LRU touch, byte re-measure) serializes on that mutex, so
-//! cache resolution stops scaling the moment many cores serve warm traffic.
-//! [`ShardedEngine`] removes the funnel without changing a single answer:
+//! The engine makes repeat traffic cheap, in three layers:
 //!
-//! * **Shards.** N fully independent engines (default: one per hardware
-//!   thread), each the existing fingerprint-keyed byte-capped LRU with
-//!   `cache_bytes / N` of the configured budget. Requests for different
-//!   instances resolve on different mutexes and proceed in parallel.
+//! * **Sessions** — [`ShardedEngine::prepare`] turns any [`Queryable`]
+//!   domain object into a cheap [`InstanceHandle`]: the reduction runs once
+//!   per distinct domain fingerprint, the prepared artifact lives in the
+//!   shared cache, and the handle is a couple of words to clone.
+//!   [`QueryRequest`]s take handles (or `Arc`'d automata) — nothing on the
+//!   request path deep-copies an automaton.
+//! * **Typed queries** — [`ShardedEngine::count`],
+//!   [`ShardedEngine::enumerate`], [`ShardedEngine::sample`] are generic
+//!   over [`Queryable`] and return domain values: counts with provenance,
+//!   streaming [`EnumCursor`]s (resumable via [`ResumeToken`]s), and
+//!   amortized [`GenStream`]s.
+//! * **Batch** — [`ShardedEngine::query_batch`], built on the cursor
+//!   surface, for callers that want many answers at once, with
+//!   deterministic multi-threaded execution.
+//!
+//! Underneath, the cache is split so that resolution scales with cores:
+//!
+//! * **Shards.** N independent caches (default: one per hardware thread),
+//!   each a fingerprint-keyed byte-capped LRU with `cache_bytes / N` of the
+//!   configured budget and `domain_entries / N` of the domain memo.
+//!   Requests for different instances resolve on different mutexes and
+//!   proceed in parallel. One shard is the plain single-cache engine.
 //! * **Routing.** A [`ShardMap`] — consistent hashing over a 64-bit ring
 //!   with virtual nodes — assigns every instance fingerprint to exactly one
 //!   shard. All traffic for an instance (prepare, query, cursor resume,
 //!   snapshot warm-load) lands on its home shard, so intra-instance cache
-//!   semantics (`k` duplicates = 1 miss + `k − 1` hits) are untouched, and
-//!   no instance is resident in two shards (at quiescence — a resolution
-//!   racing a topology change can leave a transient extra copy; see
-//!   [`ShardedEngine::add_shard`]).
+//!   semantics (`k` duplicates = 1 miss + `k − 1` hits) do not depend on
+//!   the shard count, and no instance is resident in two shards (at
+//!   quiescence — a resolution racing a topology change can leave a
+//!   transient extra copy; see [`ShardedEngine::add_shard`]).
 //! * **Elasticity.** [`ShardedEngine::add_shard`] and
 //!   [`ShardedEngine::remove_shard`] grow or drain the fleet at runtime.
 //!   Consistent hashing bounds the fallout: adding a shard moves only the
@@ -27,13 +43,22 @@
 //!   [`InstanceHandle`]s keep serving regardless, because handles pin the
 //!   artifact, not the shard.
 //!
-//! **Determinism.** Shards never hold their own randomness: every answer is
-//! the same pure function of `(instance, engine seed, request seed)` that
-//! the single-engine path computes, and the engine-owned FPRAS sketch seed
-//! mixes `config.seed` with the instance fingerprint — identical on every
-//! shard layout. `crates/core/tests/shard_stress.rs` pins this: a seeded
-//! concurrent op log over a `ShardedEngine` at 1/2/4/8 threads produces
-//! bit-identical outputs to a serial replay on one `Engine`.
+//! **Determinism.** Answers are bit-identical at any shard count, any
+//! `threads` setting, and across warm/cold caches:
+//!
+//! * batch resolution (and with it the `cache_hit` flag) happens in a
+//!   single-threaded pass in request order before the fan-out, so flags
+//!   never depend on thread interleaving;
+//! * each request owns its randomness (`QueryRequest::seed`), so execution
+//!   order cannot leak between requests;
+//! * engine-owned randomness (the cached FPRAS sketch) is seeded from
+//!   `config.seed` mixed with the instance fingerprint — a pure function of
+//!   the configuration and the instance, never of arrival order or shard
+//!   layout.
+//!
+//! `crates/core/tests/shard_stress.rs` pins this: a seeded concurrent op
+//! log over a 4-shard engine at 1/2/4/8 threads produces bit-identical
+//! outputs to a serial replay on one shard.
 
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -41,15 +66,15 @@ use lsc_arith::BigNat;
 use lsc_automata::Nfa;
 
 use crate::engine::cache::{
-    Engine, EngineConfig, EngineStats, InstanceHandle, QueryError, QueryKind, QueryRequest,
-    QueryResponse, QueryTarget,
+    EngineConfig, EngineStats, InstanceHandle, QueryError, QueryKind, QueryOutput, QueryRequest,
+    QueryResponse, QueryTarget, Shard,
 };
+use crate::engine::count_route::RoutedCount;
 use crate::engine::cursor::{
     EnumCursor, GenStream, InvalidTokenError, ResumeToken, WordCursor, WordGenStream,
 };
 use crate::engine::prepared::PreparedInstance;
 use crate::engine::queryable::Queryable;
-use crate::engine::router::RoutedCount;
 
 /// SplitMix64 — the ring/key mixer. Cheap, stateless, and well distributed
 /// even for near-sequential inputs (shard ids, replica indices).
@@ -159,30 +184,22 @@ impl ShardMap {
     }
 }
 
+/// Virtual nodes per shard on the consistent-hash ring.
+const RING_REPLICAS: usize = 64;
+
 /// [`ShardedEngine`] tuning knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ShardedConfig {
-    /// The per-engine configuration. `cache_bytes` is the fleet *total at
-    /// construction*: each initial shard gets `cache_bytes / shards` (so a
-    /// sharded engine and a single engine under the same config start with
-    /// the same byte budget). Shards added later each bring one more such
-    /// share — see [`ShardedEngine::add_shard`].
+    /// The engine configuration. `cache_bytes` and `domain_entries` are
+    /// fleet *totals at construction*: each initial shard gets
+    /// `cache_bytes / shards` bytes and `domain_entries / shards` memo
+    /// entries (at least one of each), so any shard count starts with the
+    /// same budget. Shards added later each bring one more such share —
+    /// see [`ShardedEngine::add_shard`].
     pub engine: EngineConfig,
     /// Number of shards; `0` means one per hardware thread
     /// (`std::thread::available_parallelism`).
     pub shards: usize,
-    /// Virtual nodes per shard on the consistent-hash ring.
-    pub replicas: usize,
-}
-
-impl Default for ShardedConfig {
-    fn default() -> Self {
-        ShardedConfig {
-            engine: EngineConfig::default(),
-            shards: 0,
-            replicas: 64,
-        }
-    }
 }
 
 impl ShardedConfig {
@@ -200,36 +217,34 @@ impl ShardedConfig {
 /// Aggregated and per-shard cache counters.
 #[derive(Clone, Debug, Default)]
 pub struct ShardedStats {
-    /// The sum over shards — field-compatible with a single engine's
-    /// [`EngineStats`].
+    /// The sum over shards.
     pub aggregate: EngineStats,
     /// `(shard id, that shard's counters)`, in shard-id order.
     pub per_shard: Vec<(usize, EngineStats)>,
 }
 
-/// One immutable shard-fleet snapshot: engines indexed by shard id
-/// (`None` = drained), plus the ring that routes to them. Topology changes
-/// build a fresh snapshot and swap it in — readers never see a
-/// half-updated fleet.
+/// One immutable shard-fleet snapshot: shards indexed by id (`None` =
+/// drained), plus the ring that routes to them. Topology changes build a
+/// fresh snapshot and swap it in — readers never see a half-updated fleet.
 #[derive(Clone)]
 struct Topology {
-    engines: Vec<Option<Arc<Engine>>>,
+    shards: Vec<Option<Arc<Shard>>>,
     map: ShardMap,
 }
 
 impl Topology {
-    fn engine(&self, shard: usize) -> Arc<Engine> {
-        self.engines[shard]
+    fn shard(&self, id: usize) -> Arc<Shard> {
+        self.shards[id]
             .as_ref()
             .expect("shard map routes only to live shards")
             .clone()
     }
 
-    fn live(&self) -> impl Iterator<Item = (usize, &Arc<Engine>)> {
-        self.engines
+    fn live(&self) -> impl Iterator<Item = (usize, &Arc<Shard>)> {
+        self.shards
             .iter()
             .enumerate()
-            .filter_map(|(id, e)| e.as_ref().map(|e| (id, e)))
+            .filter_map(|(id, s)| s.as_ref().map(|s| (id, s)))
     }
 }
 
@@ -256,11 +271,20 @@ fn stripe_slot() -> usize {
     SLOT.with(|s| *s)
 }
 
-/// N independent [`Engine`] shards fronted by a consistent-hash
-/// [`ShardMap`] — the drop-in, multi-core replacement for a single engine.
-/// See the module docs for the design; the API mirrors [`Engine`]'s
-/// session/typed/batch surface, with [`ShardedEngine::stats`] additionally
-/// reporting per-shard counters.
+/// The fingerprint a request target routes by.
+fn target_fingerprint(target: &QueryTarget) -> u64 {
+    match target {
+        QueryTarget::Automaton { nfa, length } => {
+            PreparedInstance::instance_fingerprint(nfa, *length)
+        }
+        QueryTarget::Handle(handle) => handle.fingerprint(),
+    }
+}
+
+/// The prepared-instance query engine: N cache shards fronted by a
+/// consistent-hash [`ShardMap`], and the whole query surface. See the
+/// module docs; [`ShardedEngine::with_defaults`] walks through the typical
+/// session flow.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -282,7 +306,8 @@ fn stripe_slot() -> usize {
 /// ```
 pub struct ShardedEngine {
     config: ShardedConfig,
-    /// Per-shard engine configuration (the byte budget already divided).
+    /// Per-shard configuration (the byte and domain budgets already
+    /// divided).
     shard_config: EngineConfig,
     /// The current [`Topology`] snapshot, replicated across read stripes.
     /// Readers go through their thread's stripe ([`stripe_slot`]); writers
@@ -299,19 +324,19 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// A sharded engine with the given configuration.
+    /// An engine with the given configuration.
     pub fn new(config: ShardedConfig) -> ShardedEngine {
         let shards = config.resolved_shards();
         let shard_config = EngineConfig {
             cache_bytes: (config.engine.cache_bytes / shards).max(1),
+            domain_entries: (config.engine.domain_entries / shards).max(1),
             ..config.engine
         };
-        let engines = (0..shards)
-            .map(|_| Some(Arc::new(Engine::new(shard_config))))
-            .collect();
         let topology = Arc::new(Topology {
-            engines,
-            map: ShardMap::new(shards, config.replicas),
+            shards: (0..shards)
+                .map(|_| Some(Arc::new(Shard::new(&shard_config))))
+                .collect(),
+            map: ShardMap::new(shards, RING_REPLICAS),
         });
         ShardedEngine {
             config,
@@ -322,6 +347,58 @@ impl ShardedEngine {
             topology_mut: Mutex::new(()),
             retired: Mutex::new(EngineStats::default()),
         }
+    }
+
+    /// An engine with default configuration (one shard per hardware
+    /// thread).
+    ///
+    /// The typical flow: build one engine for the process,
+    /// [`ShardedEngine::prepare`] a domain object into a session handle
+    /// (compiling at most once per distinct instance), then serve `COUNT` /
+    /// `ENUM` / `GEN` from the shared artifact:
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use lsc_automata::regex::Regex;
+    /// use lsc_automata::{Alphabet, Word};
+    /// use lsc_core::engine::ShardedEngine;
+    ///
+    /// let engine = ShardedEngine::with_defaults();
+    /// let ab = Alphabet::binary();
+    /// let nfa = Arc::new(Regex::parse("(0|1)*101(0|1)*", &ab).unwrap().compile());
+    /// let instance = (nfa, 10usize); // the identity Queryable
+    ///
+    /// // COUNT with provenance (exact here: the router determinizes).
+    /// let count = engine.count(&instance).unwrap();
+    /// assert!(count.is_exact());
+    ///
+    /// // ENUM as a streaming cursor, paged across calls via a resume token.
+    /// let mut cursor = engine.enumerate(&instance);
+    /// let page: Vec<Word> = cursor.by_ref().take(5).collect();
+    /// let token = cursor.token();
+    /// let rest: Vec<Word> = engine.resume(&instance, &token).unwrap().collect();
+    /// assert_eq!(
+    ///     (page.len() + rest.len()) as u64,
+    ///     count.exact.clone().unwrap().to_u64().unwrap(),
+    /// );
+    ///
+    /// // GEN as an amortized uniform draw stream (deterministic in its seeds).
+    /// let draws: Vec<Word> = engine.sample(&instance, 7).unwrap().take(3).collect();
+    /// assert_eq!(draws.len(), 3);
+    ///
+    /// // Everything above compiled the instance exactly once.
+    /// assert_eq!(engine.stats().aggregate.misses, 1);
+    /// ```
+    pub fn with_defaults() -> ShardedEngine {
+        Self::new(ShardedConfig::default())
+    }
+
+    /// A default-configured engine with an explicit shard count.
+    pub fn with_shards(shards: usize) -> ShardedEngine {
+        Self::new(ShardedConfig {
+            shards,
+            ..ShardedConfig::default()
+        })
     }
 
     /// Runs `f` against the current topology snapshot through this
@@ -348,20 +425,6 @@ impl ShardedEngine {
         }
     }
 
-    /// A sharded engine with default configuration (one shard per hardware
-    /// thread).
-    pub fn with_defaults() -> ShardedEngine {
-        Self::new(ShardedConfig::default())
-    }
-
-    /// A default-configured engine with an explicit shard count.
-    pub fn with_shards(shards: usize) -> ShardedEngine {
-        Self::new(ShardedConfig {
-            shards,
-            ..ShardedConfig::default()
-        })
-    }
-
     /// The configuration.
     pub fn config(&self) -> &ShardedConfig {
         &self.config
@@ -384,7 +447,7 @@ impl ShardedEngine {
     pub fn resident_shards(&self, fingerprint: u64) -> Vec<usize> {
         self.with_topology(|t| {
             t.live()
-                .filter(|(_, e)| e.resident_fingerprints().contains(&fingerprint))
+                .filter(|(_, s)| s.resident_fingerprints().contains(&fingerprint))
                 .map(|(id, _)| id)
                 .collect()
         })
@@ -402,8 +465,8 @@ impl ShardedEngine {
             out.aggregate.evictions = retired.evictions;
         }
         self.with_topology(|topology| {
-            for (id, engine) in topology.live() {
-                let s = engine.stats();
+            for (id, shard) in topology.live() {
+                let s = shard.stats();
                 out.aggregate.hits += s.hits;
                 out.aggregate.misses += s.misses;
                 out.aggregate.evictions += s.evictions;
@@ -416,86 +479,85 @@ impl ShardedEngine {
         out
     }
 
-    // ---- routing ----
-
-    fn engine_for(&self, fingerprint: u64) -> Arc<Engine> {
-        self.with_topology(|t| t.engine(t.map.shard_for(fingerprint)))
-    }
-
-    fn shard_of_target(map: &ShardMap, target: &QueryTarget) -> usize {
-        match target {
-            QueryTarget::Automaton { nfa, length } => {
-                map.shard_for(PreparedInstance::instance_fingerprint(nfa, *length))
-            }
-            QueryTarget::Handle(handle) => map.shard_for(handle.fingerprint()),
-        }
+    /// The home shard of a fingerprint.
+    fn shard_for(&self, fingerprint: u64) -> Arc<Shard> {
+        self.with_topology(|t| t.shard(t.map.shard_for(fingerprint)))
     }
 
     // ---- sessions ----
 
-    /// Opens a session on a domain object: the reduction runs (memoized) on
-    /// the domain fingerprint's home shard, then the *instance* routes by
-    /// its own fingerprint — so equal instances reached through different
-    /// domains still share one shard and one compilation.
+    /// Opens (or re-opens) a session on a domain object: the reduction runs
+    /// (memoized) on the domain fingerprint's home shard, then the
+    /// *instance* routes by its own fingerprint — so equal instances reached
+    /// through different domains still share one shard and one
+    /// compilation.
     pub fn prepare<Q: Queryable + ?Sized>(&self, queryable: &Q) -> InstanceHandle {
         let (nfa, length) = self
-            .engine_for(queryable.domain_fingerprint())
+            .shard_for(queryable.domain_fingerprint())
             .domain_instance(queryable);
         self.prepare_nfa(&nfa, length)
     }
 
-    /// A session handle for a raw `(automaton, length)` instance, resolved
-    /// on its home shard.
+    /// A session handle for a raw `(automaton, length)` instance — the
+    /// identity-domain variant of [`ShardedEngine::prepare`]: served from
+    /// its home shard when present, inserted (lazily, nothing materialized
+    /// yet) otherwise.
     pub fn prepare_nfa(&self, nfa: &Arc<Nfa>, length: usize) -> InstanceHandle {
-        self.engine_for(PreparedInstance::instance_fingerprint(nfa, length))
-            .prepare_nfa(nfa, length)
+        self.shard_for(PreparedInstance::instance_fingerprint(nfa, length))
+            .resolve_nfa(nfa, length)
     }
 
-    /// [`ShardedEngine::prepare_nfa`] with a read-through on a miss,
-    /// resolved on the home shard (see [`Engine::prepare_nfa_or_load`]:
-    /// `load` runs with no shard lock held).
+    /// [`ShardedEngine::prepare_nfa`] with a read-through on a miss: when
+    /// the instance is not resident, `load` may supply it (the serving
+    /// layer reads a persisted snapshot) before a cold, lazily compiled
+    /// instance is built. `load` runs with no cache lock held, so file I/O
+    /// never blocks the shard; if another resolution inserted the instance
+    /// meanwhile, that entry wins. A read-through still counts as a miss,
+    /// and the handle reports `was_cached() == false` — `cached` means "was
+    /// resident". `load` must return an instance of exactly `(nfa,
+    /// length)`.
     pub fn prepare_nfa_or_load(
         &self,
         nfa: &Arc<Nfa>,
         length: usize,
         load: impl FnOnce() -> Option<Arc<PreparedInstance>>,
     ) -> InstanceHandle {
-        self.engine_for(PreparedInstance::instance_fingerprint(nfa, length))
-            .prepare_nfa_or_load(nfa, length, load)
+        self.shard_for(PreparedInstance::instance_fingerprint(nfa, length))
+            .resolve_or_load(nfa, length, load)
     }
 
-    /// The prepared instance for `(nfa, length)` — [`ShardedEngine::prepare_nfa`]
-    /// without the handle wrapper.
+    /// The prepared instance for `(nfa, length)` —
+    /// [`ShardedEngine::prepare_nfa`] without the handle wrapper, for
+    /// callers that only want the artifact.
     pub fn prepared(&self, nfa: &Arc<Nfa>, length: usize) -> Arc<PreparedInstance> {
-        self.engine_for(PreparedInstance::instance_fingerprint(nfa, length))
-            .prepared(nfa, length)
+        self.prepare_nfa(nfa, length).instance().clone()
     }
 
-    /// Inserts an externally constructed instance into its home shard — the
-    /// shard-aware warm-restart hook behind
-    /// [`crate::engine::SnapshotStore::warm_sharded`].
+    /// Inserts an externally constructed instance into its home shard —
+    /// the warm-restart hook behind [`crate::engine::SnapshotStore::warm`].
+    /// If the key is already cached, the existing artifact wins (and is
+    /// returned). Warm-loading is not request traffic, so the hit/miss
+    /// counters do not move — the first *query* against a warmed instance
+    /// reports a clean cache hit.
     pub fn insert_prepared(&self, inst: Arc<PreparedInstance>) -> InstanceHandle {
-        self.engine_for(inst.fingerprint()).insert_prepared(inst)
+        self.shard_for(inst.fingerprint()).insert(inst)
     }
 
     // ---- typed queries ----
 
-    /// Routed `COUNT` on a domain object (see [`Engine::count`]).
+    /// Routed `COUNT` on a domain object: exact where exactness is
+    /// affordable, the cached FPRAS sketch otherwise, with provenance.
     ///
     /// # Errors
     /// Propagates FPRAS failure events when the FPRAS route fires.
     pub fn count<Q: Queryable + ?Sized>(&self, queryable: &Q) -> Result<RoutedCount, QueryError> {
         let handle = self.prepare(queryable);
-        match self
-            .query(&QueryRequest::on(&handle, QueryKind::Count, 0))
-            .output?
-        {
-            crate::engine::QueryOutput::Count(routed) => Ok(routed),
-            _ => unreachable!("Count returns Count"),
-        }
+        let inst = handle.instance();
+        Ok(inst.count_routed_cached(&self.config.engine.router, self.sketch_seed(inst))?)
     }
 
-    /// Exact `COUNT` on a domain object (see [`Engine::count_exact`]).
+    /// Exact `COUNT` on a domain object (Theorem 5, unambiguous reductions
+    /// only).
     ///
     /// # Errors
     /// [`QueryError::NotUnambiguous`] on ambiguous instances.
@@ -503,14 +565,17 @@ impl ShardedEngine {
         Ok(self.prepare(queryable).instance().count_exact()?)
     }
 
-    /// Streaming `ENUM` on a domain object (see [`Engine::enumerate`]).
+    /// Streaming `ENUM` on a domain object: a typed cursor yielding decoded
+    /// witnesses lazily (constant delay on unambiguous instances,
+    /// polynomial otherwise), resumable across calls via
+    /// [`EnumCursor::token`] and [`ShardedEngine::resume`].
     pub fn enumerate<'q, Q: Queryable + ?Sized>(&self, queryable: &'q Q) -> EnumCursor<'q, Q> {
         let handle = self.prepare(queryable);
-        EnumCursor::new(queryable, WordCursor::fresh(handle.instance().clone()))
+        EnumCursor::new(queryable, self.cursor(&handle))
     }
 
-    /// Reconstructs a typed cursor at a token's position (see
-    /// [`Engine::resume`]).
+    /// Reconstructs a typed cursor at a token's position; the continued
+    /// stream is bit-identical to the uninterrupted one.
     ///
     /// # Errors
     /// [`InvalidTokenError`] if the token does not belong to this domain
@@ -523,13 +588,13 @@ impl ShardedEngine {
         let handle = self.prepare(queryable);
         Ok(EnumCursor::new(
             queryable,
-            WordCursor::resume(handle.instance().clone(), token)?,
+            self.resume_cursor(&handle, token)?,
         ))
     }
 
-    /// `GEN` on a domain object (see [`Engine::sample`]). Deterministic in
-    /// `(instance, engine seed, draw_seed)` — the shard layout never enters
-    /// the stream.
+    /// `GEN` on a domain object: an amortized uniform draw stream yielding
+    /// decoded witnesses. Deterministic in `(instance, engine seed,
+    /// draw_seed)` — the shard layout never enters the stream.
     ///
     /// # Errors
     /// Propagates FPRAS failure events from the (cached) sketch build on
@@ -544,15 +609,15 @@ impl ShardedEngine {
         Ok(GenStream::new(queryable, stream))
     }
 
-    // ---- word-level sessions ----
+    // ---- word-level sessions (handles in, raw words out) ----
 
-    /// A raw-word cursor over a session handle (see [`Engine::cursor`]).
+    /// A raw-word cursor over a session handle (the untyped sibling of
+    /// [`ShardedEngine::enumerate`], for tools that print words directly).
     pub fn cursor(&self, handle: &InstanceHandle) -> WordCursor {
         WordCursor::fresh(handle.instance().clone())
     }
 
-    /// Reconstructs a raw-word cursor at a token's position (see
-    /// [`Engine::resume_cursor`]).
+    /// Reconstructs a raw-word cursor at a token's position.
     ///
     /// # Errors
     /// [`InvalidTokenError`] if the token does not belong to the handle's
@@ -565,8 +630,8 @@ impl ShardedEngine {
         WordCursor::resume(handle.instance().clone(), token)
     }
 
-    /// A raw-word uniform draw stream over a session handle (see
-    /// [`Engine::gen_stream`]).
+    /// A raw-word uniform draw stream over a session handle (the untyped
+    /// sibling of [`ShardedEngine::sample`]).
     ///
     /// # Errors
     /// Propagates FPRAS failure events from the (cached) sketch build on
@@ -576,73 +641,132 @@ impl ShardedEngine {
         handle: &InstanceHandle,
         draw_seed: u64,
     ) -> Result<WordGenStream, QueryError> {
-        self.engine_for(handle.fingerprint())
-            .gen_stream(handle, draw_seed)
+        let inst = handle.instance();
+        Ok(WordGenStream::new(
+            inst,
+            &self.config.engine.router,
+            self.config.engine.retries,
+            self.sketch_seed(inst),
+            draw_seed,
+        )?)
     }
 
     // ---- batch ----
 
-    /// Answers one request on its home shard.
-    pub fn query(&self, request: &QueryRequest) -> QueryResponse {
-        self.query_batch(std::slice::from_ref(request))
-            .pop()
-            .expect("one response per request")
+    /// Engine-owned seed for an instance's cached FPRAS sketch: a pure
+    /// function of the configuration and the fingerprint.
+    fn sketch_seed(&self, inst: &PreparedInstance) -> u64 {
+        self.config.engine.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ inst.fingerprint()
     }
 
-    /// Answers a batch: requests are partitioned by home shard (preserving
-    /// each shard's subsequence order, so per-instance duplicate semantics
-    /// match the single engine exactly), shard batches execute concurrently,
-    /// and responses return in request order.
+    /// One execution, built on the streaming surface: `Enumerate` buffers
+    /// a cursor page, `Sample` buffers a draw-stream prefix, so batch
+    /// answers and cursors can never disagree on content or order.
+    fn execute(
+        &self,
+        handle: &InstanceHandle,
+        kind: QueryKind,
+        seed: u64,
+    ) -> Result<QueryOutput, QueryError> {
+        let inst = handle.instance();
+        match kind {
+            QueryKind::Count => Ok(QueryOutput::Count(
+                inst.count_routed_cached(&self.config.engine.router, self.sketch_seed(inst))?,
+            )),
+            QueryKind::CountExact => Ok(QueryOutput::Exact(inst.count_exact()?)),
+            QueryKind::Enumerate { limit } => Ok(QueryOutput::Words(
+                self.cursor(handle).take(limit).collect(),
+            )),
+            QueryKind::Sample { count } => Ok(QueryOutput::Words(
+                self.gen_stream(handle, seed)?.take(count).collect(),
+            )),
+        }
+    }
+
+    /// Answers one request on its home shard: resolve, execute, and
+    /// re-measure whatever the execution materialized — the same steps as a
+    /// one-request [`ShardedEngine::query_batch`].
+    pub fn query(&self, request: &QueryRequest) -> QueryResponse {
+        let shard = self.shard_for(target_fingerprint(&request.target));
+        let handle = shard.resolve(&request.target);
+        let output = self.execute(&handle, request.kind, request.seed);
+        shard.refresh_bytes([&handle]);
+        QueryResponse {
+            output,
+            cache_hit: handle.was_cached(),
+        }
+    }
+
+    /// Answers a batch, in three phases (see the module docs for why the
+    /// responses are identical at any shard or thread count):
+    ///
+    /// 1. single-threaded, in request order: resolve every request on its
+    ///    home shard, fixing each `cache_hit` flag;
+    /// 2. execute, split into contiguous chunks over `config.threads`
+    ///    scoped threads, each writing its own slice of the results;
+    /// 3. single-threaded: re-measure each touched shard's resolutions once
+    ///    and enforce its byte cap.
     pub fn query_batch(&self, requests: &[QueryRequest]) -> Vec<QueryResponse> {
         if requests.is_empty() {
             return Vec::new();
         }
-        let (engines, routes): (Vec<Arc<Engine>>, Vec<Vec<usize>>) =
-            self.with_topology(|topology| {
-                let mut by_shard: std::collections::BTreeMap<usize, Vec<usize>> =
-                    std::collections::BTreeMap::new();
-                for (i, request) in requests.iter().enumerate() {
-                    by_shard
-                        .entry(Self::shard_of_target(&topology.map, &request.target))
-                        .or_default()
-                        .push(i);
-                }
-                by_shard
-                    .into_iter()
-                    .map(|(shard, indices)| (topology.engine(shard), indices))
-                    .unzip()
-            });
-        let mut slots: Vec<Option<QueryResponse>> = (0..requests.len()).map(|_| None).collect();
-        if engines.len() == 1 {
-            // Single home shard: no fan-out thread needed.
-            for (slot, response) in engines[0].query_batch(requests).into_iter().enumerate() {
-                slots[routes[0][slot]] = Some(response);
-            }
+        let homes: Vec<(usize, Arc<Shard>)> = self.with_topology(|t| {
+            requests
+                .iter()
+                .map(|r| {
+                    let id = t.map.shard_for(target_fingerprint(&r.target));
+                    (id, t.shard(id))
+                })
+                .collect()
+        });
+        let resolved: Vec<InstanceHandle> = requests
+            .iter()
+            .zip(&homes)
+            .map(|(r, (_, shard))| shard.resolve(&r.target))
+            .collect();
+        let threads = self.config.engine.threads.clamp(1, requests.len());
+        let outputs: Vec<Result<QueryOutput, QueryError>> = if threads == 1 {
+            requests
+                .iter()
+                .zip(&resolved)
+                .map(|(r, h)| self.execute(h, r.kind, r.seed))
+                .collect()
         } else {
-            let answered: Vec<Vec<QueryResponse>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = engines
-                    .iter()
-                    .zip(&routes)
-                    .map(|(engine, indices)| {
-                        let sub: Vec<QueryRequest> =
-                            indices.iter().map(|&i| requests[i].clone()).collect();
-                        scope.spawn(move || engine.query_batch(&sub))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard batch thread"))
-                    .collect()
-            });
-            for (indices, responses) in routes.iter().zip(answered) {
-                for (&i, response) in indices.iter().zip(responses) {
-                    slots[i] = Some(response);
+            let mut slots: Vec<Option<Result<QueryOutput, QueryError>>> =
+                (0..requests.len()).map(|_| None).collect();
+            let chunk = requests.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                for ((reqs, handles), out) in requests
+                    .chunks(chunk)
+                    .zip(resolved.chunks(chunk))
+                    .zip(slots.chunks_mut(chunk))
+                {
+                    scope.spawn(move || {
+                        for ((r, h), slot) in reqs.iter().zip(handles).zip(out) {
+                            *slot = Some(self.execute(h, r.kind, r.seed));
+                        }
+                    });
                 }
-            }
+            });
+            slots
+                .into_iter()
+                .map(|s| s.expect("thread filled slot"))
+                .collect()
+        };
+        let mut by_shard: Vec<usize> = (0..requests.len()).collect();
+        by_shard.sort_by_key(|&i| homes[i].0);
+        for group in by_shard.chunk_by(|&a, &b| homes[a].0 == homes[b].0) {
+            homes[group[0]]
+                .1
+                .refresh_bytes(group.iter().map(|&i| &resolved[i]));
         }
-        slots
+        outputs
             .into_iter()
-            .map(|s| s.expect("every request routed"))
+            .zip(resolved)
+            .map(|(output, h)| QueryResponse {
+                output,
+                cache_hit: h.was_cached(),
+            })
             .collect()
     }
 
@@ -670,26 +794,26 @@ impl ShardedEngine {
     pub fn add_shard(&self) -> usize {
         let _writer = self.topology_mut.lock().expect("topology writer poisoned");
         let current = self.with_topology(|t| t.clone());
-        let id = current.engines.len();
+        let id = current.shards.len();
         let mut next = current;
         next.map.add_shard(id);
-        next.engines
-            .push(Some(Arc::new(Engine::new(self.shard_config))));
+        next.shards
+            .push(Some(Arc::new(Shard::new(&self.shard_config))));
         let next = Arc::new(next);
         // New routing first, then drain: an instance the new shard owns is
         // re-resolved there from the moment of the swap, and its old copy
         // is swept out right after.
         self.install(&next);
         let mut moved = Vec::new();
-        for (shard, engine) in next.live() {
+        for (shard, cache) in next.live() {
             if shard == id {
                 continue;
             }
-            moved.extend(engine.take_instances_where(|fp| next.map.shard_for(fp) == id));
+            moved.extend(cache.take_instances_where(|fp| next.map.shard_for(fp) == id));
         }
-        let new_engine = next.engine(id);
+        let new_shard = next.shard(id);
         for inst in moved {
-            new_engine.insert_prepared(inst);
+            new_shard.insert(inst);
         }
         id
     }
@@ -707,19 +831,19 @@ impl ShardedEngine {
         if !next.map.remove_shard(id) {
             return false;
         }
-        let drained = next.engines[id]
+        let drained = next.shards[id]
             .take()
             .expect("map had the shard, fleet must too");
         let next = Arc::new(next);
         self.install(&next);
         for inst in drained.take_instances_where(|_| true) {
-            next.engine(next.map.shard_for(inst.fingerprint()))
-                .insert_prepared(inst);
+            next.shard(next.map.shard_for(inst.fingerprint()))
+                .insert(inst);
         }
         // Capture the drained shard's counter history only after the swap
         // and the migration sweep, so everything it recorded up to the
         // point new traffic stopped reaching it is carried over. (A
-        // request that raced the swap with an already-resolved engine
+        // request that raced the swap with an already-resolved shard
         // reference may still record on the drained shard afterwards;
         // those last counts die with it — see the add_shard note on
         // eventual consistency.)
@@ -772,7 +896,7 @@ mod tests {
 
     #[test]
     fn sharded_answers_match_single_engine() {
-        let single = Engine::with_defaults();
+        let single = ShardedEngine::with_shards(1);
         let sharded = ShardedEngine::with_shards(4);
         for k in 3..6 {
             let (nfa, n) = instance(k);
@@ -789,9 +913,7 @@ mod tests {
                 .query(&QueryRequest::automaton(nfa, n, QueryKind::CountExact, 0))
                 .output
                 .unwrap();
-            let (crate::engine::QueryOutput::Exact(a), crate::engine::QueryOutput::Exact(b)) =
-                (a, b)
-            else {
+            let (QueryOutput::Exact(a), QueryOutput::Exact(b)) = (a, b) else {
                 panic!("exact counts expected");
             };
             assert_eq!(a, b);
@@ -912,9 +1034,81 @@ mod tests {
                 ..EngineConfig::default()
             },
             shards: 4,
-            ..ShardedConfig::default()
         };
         let sharded = ShardedEngine::new(config);
         assert_eq!(sharded.shard_config.cache_bytes, 16 << 20);
+    }
+
+    #[test]
+    fn domain_memo_cap_is_divided_across_shards() {
+        let sharded = ShardedEngine::new(ShardedConfig {
+            engine: EngineConfig {
+                domain_entries: 8,
+                ..EngineConfig::default()
+            },
+            shards: 4,
+        });
+        for length in 0..64 {
+            sharded.prepare(&(Arc::new(blowup_nfa(3)), length));
+        }
+        assert!(
+            sharded.stats().aggregate.domains <= 8,
+            "the fleet-wide memo cap holds at any shard count"
+        );
+    }
+
+    /// Equal answers, hit flags and counters, whichever entry point.
+    fn assert_same_response(a: &QueryResponse, b: &QueryResponse, context: &str) {
+        assert_eq!(a.cache_hit, b.cache_hit, "{context}: cache_hit");
+        match (&a.output, &b.output) {
+            (Ok(QueryOutput::Count(x)), Ok(QueryOutput::Count(y))) => {
+                assert_eq!(x.route, y.route, "{context}: route");
+                assert_eq!(x.exact, y.exact, "{context}: exact");
+                assert_eq!(
+                    x.estimate.to_raw_parts(),
+                    y.estimate.to_raw_parts(),
+                    "{context}: estimate"
+                );
+            }
+            (Ok(QueryOutput::Exact(x)), Ok(QueryOutput::Exact(y))) => {
+                assert_eq!(x, y, "{context}: exact count");
+            }
+            (Ok(QueryOutput::Words(x)), Ok(QueryOutput::Words(y))) => {
+                assert_eq!(x, y, "{context}: words");
+            }
+            (Err(x), Err(y)) => assert_eq!(x, y, "{context}: error"),
+            _ => panic!("{context}: output shapes diverged"),
+        }
+    }
+
+    #[test]
+    fn query_matches_a_one_request_batch() {
+        let kinds = [
+            QueryKind::Count,
+            QueryKind::CountExact,
+            QueryKind::Enumerate { limit: 7 },
+            QueryKind::Sample { count: 5 },
+        ];
+        let ambiguous = Arc::new(lsc_automata::families::ambiguity_gap_nfa(3));
+        for shards in [1usize, 4] {
+            for kind in kinds {
+                for nfa in [instance(4).0, ambiguous.clone()] {
+                    let single = ShardedEngine::with_shards(shards);
+                    let batched = ShardedEngine::with_shards(shards);
+                    let request = QueryRequest::automaton(nfa.clone(), 8, kind, 0x5EED);
+                    // A cold request, then a warm one on the same engines.
+                    for pass in ["cold", "warm"] {
+                        let context = format!("{kind:?} at {shards} shards, {pass}");
+                        let a = single.query(&request);
+                        let b = batched
+                            .query_batch(std::slice::from_ref(&request))
+                            .remove(0);
+                        assert_same_response(&a, &b, &context);
+                        let (sa, sb) = (single.stats().aggregate, batched.stats().aggregate);
+                        assert_eq!((sa.hits, sa.misses), (sb.hits, sb.misses), "{context}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -74,8 +74,9 @@ use lsc_automata::io as nfa_io;
 use lsc_automata::ops::AmbiguityDegree;
 use lsc_automata::{Nfa, StateSet, Symbol, Word};
 
-use crate::engine::cache::{Engine, InstanceKey};
+use crate::engine::cache::InstanceKey;
 use crate::engine::prepared::PreparedInstance;
+use crate::engine::shard::ShardedEngine;
 use crate::fpras::{reach_all, FprasParams, FprasState, SampleEntry, VertexData};
 use crate::serve::faults::{Fault, FaultPlan, FaultSite};
 
@@ -172,7 +173,7 @@ pub enum ReadThrough {
 /// ```
 /// use std::sync::Arc;
 /// use lsc_automata::families::blowup_nfa;
-/// use lsc_core::engine::{Engine, PreparedInstance, SnapshotStore};
+/// use lsc_core::engine::{PreparedInstance, ShardedEngine, SnapshotStore};
 ///
 /// let dir = std::env::temp_dir().join("lsc-snapshot-doctest");
 /// let store = SnapshotStore::open(&dir).unwrap();
@@ -183,7 +184,7 @@ pub enum ReadThrough {
 /// store.save(&inst).unwrap();
 ///
 /// // Restarted process: warm the cache from disk — no recompilation.
-/// let engine = Engine::with_defaults();
+/// let engine = ShardedEngine::with_defaults();
 /// let report = store.warm(&engine);
 /// assert!(report.loaded >= 1);
 /// let handle = engine.prepare_nfa(inst.nfa_arc(), 8);
@@ -459,31 +460,12 @@ impl SnapshotStore {
     }
 
     /// Restores every valid snapshot in the directory into the engine's
-    /// instance cache ([`Engine::insert_prepared`]), so a restarted server
-    /// answers repeat traffic as cache hits instead of recompiling. Corrupt
-    /// files are counted and skipped — never served, never deleted.
-    pub fn warm(&self, engine: &Engine) -> WarmReport {
-        self.warm_each(|inst| {
-            engine.insert_prepared(inst);
-        })
-    }
-
-    /// The shard-aware warm pass: like [`SnapshotStore::warm`], but each
-    /// restored instance enters its *home shard* of a
-    /// [`crate::engine::ShardedEngine`] ([`ShardedEngine::insert_prepared`]
-    /// routes by the instance fingerprint), so a restarted sharded server
-    /// holds every instance on exactly the shard its queries resolve to.
-    ///
-    /// [`ShardedEngine::insert_prepared`]: crate::engine::ShardedEngine::insert_prepared
-    pub fn warm_sharded(&self, engine: &crate::engine::ShardedEngine) -> WarmReport {
-        self.warm_each(|inst| {
-            engine.insert_prepared(inst);
-        })
-    }
-
-    /// Decodes, validates, and hands every snapshot in the directory to
-    /// `insert` — the cache-shape-agnostic core behind both warm passes.
-    fn warm_each(&self, mut insert: impl FnMut(Arc<PreparedInstance>)) -> WarmReport {
+    /// instance cache ([`ShardedEngine::insert_prepared`], which routes each
+    /// instance to its home shard), so a restarted server answers repeat
+    /// traffic as cache hits on exactly the shard its queries resolve to,
+    /// instead of recompiling. Corrupt files are counted and skipped —
+    /// never served, never deleted.
+    pub fn warm(&self, engine: &ShardedEngine) -> WarmReport {
         let mut report = WarmReport::default();
         // lsc-analyze: allow(unrouted-io) reason="read-side warm pass; pinned by the crash-safety corruption matrix rather than the write-side fault plan"
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
@@ -508,7 +490,7 @@ impl SnapshotStore {
                         .lock()
                         .expect("snapshot index poisoned")
                         .insert(inst.fingerprint(), checksum);
-                    insert(inst);
+                    engine.insert_prepared(inst);
                     report.loaded += 1;
                 }
                 Err(_) => report.rejected += 1,
@@ -1202,7 +1184,7 @@ mod tests {
         assert_eq!(std::fs::read(&second).unwrap(), worse);
         // Quarantined files are out of the serving path: a warm pass over
         // the directory sees neither.
-        let engine = Engine::with_defaults();
+        let engine = ShardedEngine::with_shards(1);
         assert_eq!(reopened.warm(&engine), WarmReport::default());
         std::fs::remove_dir_all(store.dir()).ok();
     }
@@ -1360,7 +1342,7 @@ mod tests {
         store.save(&b).unwrap();
         // Plant one corrupt file alongside.
         std::fs::write(store.dir().join("deadbeefdeadbeef.snap"), b"garbage").unwrap();
-        let engine = Engine::with_defaults();
+        let engine = ShardedEngine::with_shards(1);
         let report = store.warm(&engine);
         assert_eq!(
             report,
@@ -1370,7 +1352,7 @@ mod tests {
             }
         );
         // Both instances now hit without any compile work or miss counted.
-        let stats = engine.stats();
+        let stats = engine.stats().aggregate;
         assert_eq!((stats.misses, stats.entries), (0, 2));
         assert!(engine.prepare_nfa(a.nfa_arc(), 8).was_cached());
         assert!(engine.prepare_nfa(b.nfa_arc(), 7).was_cached());

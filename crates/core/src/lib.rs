@@ -32,9 +32,10 @@
 //! For repeated traffic, [`engine`] provides the compile-once serving layer:
 //! a [`PreparedInstance`] caches the unrolled DAG, the ambiguity
 //! classification, and the per-problem tables behind one artifact (a
-//! [`MemNfa`] wraps exactly one of these), and an [`Engine`] keys prepared
-//! instances by structural fingerprint in a byte-capped LRU cache with a
-//! batched, deterministically-parallel request API. The ambiguity-aware
+//! [`MemNfa`] wraps exactly one of these), and a [`ShardedEngine`] keys
+//! prepared instances by structural fingerprint in byte-capped LRU cache
+//! shards, with session, typed, and batched, deterministically-parallel
+//! request APIs. The ambiguity-aware
 //! counting router lives there too ([`engine::count_routed`]), with routing
 //! decisions cached per instance.
 
@@ -50,5 +51,5 @@ pub mod self_reduce;
 pub mod serve;
 
 pub use count::exact::NotUnambiguousError;
-pub use engine::{Engine, EnumCursor, GenStream, PreparedInstance, Queryable, ResumeToken};
+pub use engine::{EnumCursor, GenStream, PreparedInstance, Queryable, ResumeToken, ShardedEngine};
 pub use mem_nfa::MemNfa;

@@ -13,7 +13,7 @@
 //! the ambiguity classification, and the exact tables are compiled on first
 //! use and shared by every later call on the same value — so holding a
 //! `MemNfa` across queries is the single-instance version of what
-//! [`crate::engine::Engine`] does across many instances.
+//! [`crate::engine::ShardedEngine`] does across many instances.
 
 use lsc_arith::{BigFloat, BigNat};
 use lsc_automata::Nfa;

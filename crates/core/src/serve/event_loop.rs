@@ -62,6 +62,7 @@ use lsc_reactor::{Event, Interest, Poller, Token, Waker};
 
 use crate::serve::faults::{FaultPlan, FaultSite, FaultyStream};
 use crate::serve::server::{Reply, ServerInner, TcpServerHandle};
+use crate::serve::MAX_LINE_BYTES;
 
 /// Registration token of the accept listener.
 const LISTENER: usize = 0;
@@ -70,11 +71,6 @@ const WAKER: usize = 1;
 /// First connection token (monotonic from here; tokens are never reused,
 /// so a late completion can never alias a newer connection).
 const FIRST_CONN: usize = 2;
-
-/// A read buffer growing past this without a newline is a runaway frame;
-/// the connection is dropped as dirty (the threaded transport's analogue
-/// is a reader thread pinned forever, which the read timeout reaps).
-const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// Sweep cadence for idle-connection reaping.
 const SWEEP_EVERY: Duration = Duration::from_millis(500);
@@ -269,6 +265,9 @@ impl EventLoop {
         };
         conn.last_activity = Instant::now();
         let mut chunk = [0u8; 4096];
+        // Bytes of the still-unterminated last line (`parse_lines` leaves
+        // only that line in `rbuf`).
+        let mut open_line = conn.rbuf.len();
         loop {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
@@ -277,7 +276,13 @@ impl EventLoop {
                 }
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&chunk[..n]);
-                    if conn.rbuf.len() > MAX_LINE_BYTES {
+                    open_line = match chunk[..n].iter().rposition(|&b| b == b'\n') {
+                        Some(end) => n - end - 1,
+                        None => open_line + n,
+                    };
+                    // One line past the cap is a runaway frame: dirty
+                    // close. Complete pipelined lines never count.
+                    if open_line > MAX_LINE_BYTES {
                         self.close_conn(token, true);
                         return;
                     }
@@ -327,8 +332,8 @@ impl EventLoop {
         }
         conn.rbuf.drain(..start);
         if conn.read_closed && !conn.rbuf.is_empty() {
-            // EOF with a final unterminated line: serve it (threaded
-            // `lines()` yields it too).
+            // EOF with a final unterminated line: serve it (the blocking
+            // transports' line reader yields it too).
             let mut tail = std::mem::take(&mut conn.rbuf);
             if tail.last() == Some(&b'\r') {
                 tail.pop();

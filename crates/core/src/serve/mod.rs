@@ -71,3 +71,40 @@ pub use protocol::{ErrorCode, WireError, PROTOCOL_VERSION};
 pub use router::{BackendSpec, RouteConfig, RouteStats, Router};
 pub use server::{Reply, ServeConfig, ServeStats, Server, TcpServerHandle, Transport};
 pub use session::SessionRegistry;
+
+use std::io::{BufRead, Read};
+
+/// The longest request line any transport accepts (4 MiB, newline
+/// excluded). A longer line ends its connection as dirty (counted in
+/// `resets_survived`), instead of being buffered without bound.
+pub(crate) const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// Reads one request line of at most [`MAX_LINE_BYTES`], framed like
+/// `BufRead::lines`: `\n` or `\r\n` terminates, and a final line without
+/// a terminator is still returned at EOF. `Ok(None)` is a clean EOF. An
+/// I/O error, invalid UTF-8, or an over-long line is an error, so the
+/// caller ends the connection dirty.
+pub(crate) fn read_line_capped(reader: &mut impl BufRead) -> std::io::Result<Option<String>> {
+    let mut line = Vec::new();
+    let read = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', &mut line)?;
+    if read == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if line.len() > MAX_LINE_BYTES {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "request line exceeds the 4 MiB cap",
+        ));
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}

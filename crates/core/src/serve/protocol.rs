@@ -3,15 +3,15 @@
 //! One request per line, one response per line, both JSON objects. Every
 //! request names an `"op"`; every response carries `"ok"` (and echoes the
 //! request's `"id"`, if any, so pipelining clients can match answers to
-//! questions). The ops map 1:1 onto the typed [`Engine`] API:
+//! questions). The ops map 1:1 onto the typed [`ShardedEngine`] API:
 //!
 //! | op            | engine call                         |
 //! |---------------|-------------------------------------|
 //! | `hello`       | — (version handshake)               |
-//! | `prepare`     | `Engine::prepare_nfa` (→ session)   |
+//! | `prepare`     | `ShardedEngine::prepare_nfa` (→ session) |
 //! | `count`       | `QueryKind::Count` on the handle    |
 //! | `count_exact` | `QueryKind::CountExact`             |
-//! | `enumerate`   | `Engine::cursor` / `resume_cursor`  |
+//! | `enumerate`   | `ShardedEngine::cursor` / `resume_cursor` |
 //! | `sample`      | `QueryKind::Sample`                 |
 //! | `close`       | — (drops the session)               |
 //! | `stats`       | `ShardedEngine::stats` (aggregate + per-shard) + server counters |
@@ -24,7 +24,7 @@
 //! and their (de)serialization; execution lives in
 //! [`super::server::Server`].
 //!
-//! [`Engine`]: crate::engine::Engine
+//! [`ShardedEngine`]: crate::engine::ShardedEngine
 
 use crate::serve::json::{self, Json};
 

@@ -43,7 +43,7 @@
 //! [`ShardedEngine`]: crate::engine::ShardedEngine
 
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,6 +60,7 @@ use crate::serve::json::Json;
 use crate::serve::protocol::{
     error_response, ok_response, parse_request, ErrorCode, InstanceSpec, Request, WireError,
 };
+use crate::serve::read_line_capped;
 use crate::serve::server::TcpServerHandle;
 
 /// One backend node: where it listens and, if it persists snapshots,
@@ -321,7 +322,7 @@ fn serve_connection(inner: &Arc<RouterInner>, stream: TcpStream) {
         return;
     };
     let plan = inner.config.faults.clone();
-    let reader = BufReader::new(FaultyStream::with_sites(
+    let mut reader = BufReader::new(FaultyStream::with_sites(
         read_half,
         plan.clone(),
         FaultSite::RouterForward,
@@ -334,8 +335,9 @@ fn serve_connection(inner: &Arc<RouterInner>, stream: TcpStream) {
         FaultSite::RouterForward,
     ));
     let mut local: Vec<String> = Vec::new();
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    // An I/O error, invalid UTF-8 or a line over the cap ends the
+    // connection, like EOF.
+    while let Ok(Some(line)) = read_line_capped(&mut reader) {
         if line.trim().is_empty() {
             continue;
         }
@@ -967,6 +969,48 @@ mod tests {
         assert!(placed.len() > 1, "all specs landed on one backend");
         assert!(router.stats().forwarded > 0);
         routed.bye();
+        drop(front);
+        for (server, handle) in nodes {
+            drop(handle);
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn over_long_request_lines_end_the_front_connection() {
+        use std::io::Read;
+        let (nodes, _router, front) = cluster(2);
+        let mut flood = TcpStream::connect(front.addr()).unwrap();
+        flood
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        // 4 MiB + 1 bytes and no newline: one byte past the line cap.
+        let chunk = vec![b'x'; 1 << 20];
+        let mut left = crate::serve::MAX_LINE_BYTES + 1;
+        while left > 0 {
+            let n = left.min(chunk.len());
+            if flood.write_all(&chunk[..n]).is_err() {
+                break;
+            }
+            left -= n;
+        }
+        let mut buf = [0u8; 64];
+        match flood.read(&mut buf) {
+            Ok(0) => {}
+            Ok(n) => panic!("answered: {:?}", String::from_utf8_lossy(&buf[..n])),
+            Err(e) => assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "the front connection stayed open past the line cap"
+            ),
+        }
+        // Another front connection keeps getting answers.
+        let mut client = Client::new(front.addr().to_string(), quick_client());
+        client.prepare("s", spec("(0|1)*11"), 6).unwrap();
+        assert!(client.count("s").is_ok());
+        client.bye();
         drop(front);
         for (server, handle) in nodes {
             drop(handle);

@@ -20,12 +20,12 @@
 //! pool's worker count; everything behind the pool — shard fleet,
 //! session registry, snapshot store — is shared and thread-safe. Query
 //! answers are bit-identical to direct single-threaded
-//! [`Engine`](crate::engine::Engine) calls with the same configuration,
+//! [`ShardedEngine`] calls with the same configuration,
 //! at any shard count: the server adds routing and bookkeeping around the
 //! engines, never its own randomness.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,6 +47,7 @@ use crate::serve::protocol::{
     error_response, ok_response, parse_request, Envelope, ErrorCode, InstanceSpec, Request,
     WireError,
 };
+use crate::serve::read_line_capped;
 use crate::serve::session::{Session, SessionRegistry};
 
 /// Which accept-path implementation [`Server::spawn_tcp`] drives. Both
@@ -263,7 +264,6 @@ impl Server {
         let engine = ShardedEngine::new(ShardedConfig {
             engine: config.engine,
             shards: config.shards,
-            ..ShardedConfig::default()
         });
         let snapshots = match &config.snapshot_dir {
             Some(dir) => Some(SnapshotStore::open_with_faults(dir, config.faults.clone())?),
@@ -275,7 +275,7 @@ impl Server {
             .unwrap_or_default();
         let warm = snapshots
             .as_ref()
-            .map(|store| store.warm_sharded(&engine))
+            .map(|store| store.warm(&engine))
             .unwrap_or_default();
         let pool = WorkerPool::new(config.workers, config.queue_depth);
         let sessions = SessionRegistry::new(config.session_ttl);
@@ -301,8 +301,8 @@ impl Server {
         })
     }
 
-    /// The shared sharded engine (the tests compare server responses
-    /// against direct calls on an identically configured single engine, and
+    /// The shared engine (the tests compare server responses against
+    /// direct calls on an identically configured one-shard engine, and
     /// inspect shard residency).
     pub fn engine(&self) -> &ShardedEngine {
         &self.inner.engine
@@ -405,10 +405,18 @@ impl Server {
     pub fn serve_stdio(&self) {
         let conn = self.open_conn();
         let stdin = std::io::stdin();
+        let mut input = stdin.lock();
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
+        loop {
+            let line = match read_line_capped(&mut input) {
+                Ok(Some(line)) => line,
+                Ok(None) => break,
+                Err(_) => {
+                    self.inner.note_reset();
+                    break;
+                }
+            };
             if line.trim().is_empty() {
                 continue;
             }
@@ -526,13 +534,17 @@ fn serve_connection(inner: &Arc<ServerInner>, stream: TcpStream) {
         return;
     };
     let plan = inner.config.faults.clone();
-    let reader = BufReader::new(FaultyStream::new(read_half, plan.clone()));
+    let mut reader = BufReader::new(FaultyStream::new(read_half, plan.clone()));
     let mut writer = BufWriter::new(FaultyStream::new(stream, plan));
     let mut dirty = false;
-    for line in reader.lines() {
-        let Ok(line) = line else {
-            dirty = true;
-            break;
+    loop {
+        let line = match read_line_capped(&mut reader) {
+            Ok(Some(line)) => line,
+            Ok(None) => break,
+            Err(_) => {
+                dirty = true;
+                break;
+            }
         };
         if line.trim().is_empty() {
             continue;
@@ -564,14 +576,12 @@ fn serve_connection(inner: &Arc<ServerInner>, stream: TcpStream) {
 /// the other finds the slot empty. If *neither* ran (the job panicked
 /// before completing, or the pool dropped it), the slot's own `Drop` —
 /// which runs once both closures are gone — delivers a typed `internal`
-/// reply, so an event-loop connection can never hang on a lost job. This
-/// is the nonblocking mirror of the reply-channel `RecvError` fallback in
-/// [`ServerInner::submit_and_wait`].
+/// reply, so no connection can ever hang on a lost job.
 struct DoneSlot {
     done: Mutex<Option<DoneCallback>>,
 }
 
-/// The event loop's reply hand-off, boxed once at submission.
+/// A submission's reply hand-off, boxed once at submission.
 type DoneCallback = Box<dyn FnOnce(Reply) + Send>;
 
 impl DoneSlot {
@@ -602,14 +612,19 @@ impl Drop for DoneSlot {
     fn drop(&mut self) {
         let cb = self.done.get_mut().ok().and_then(Option::take);
         if let Some(cb) = cb {
-            cb(Reply {
-                text: error_response(
-                    None,
-                    &WireError::new(ErrorCode::Internal, "worker dropped the request"),
-                ),
-                close: true,
-            });
+            cb(lost_job_reply());
         }
+    }
+}
+
+/// The reply for a job that was accepted but never answered.
+fn lost_job_reply() -> Reply {
+    Reply {
+        text: error_response(
+            None,
+            &WireError::new(ErrorCode::Internal, "worker dropped the request"),
+        ),
+        close: true,
     }
 }
 
@@ -641,8 +656,10 @@ impl ServerInner {
         self.config.read_timeout
     }
 
-    /// Submits one request line for asynchronous execution: the
-    /// event-loop twin of [`ServerInner::submit_and_wait`]. `done` fires
+    /// Submits one request line for asynchronous execution — the one
+    /// submission path: the event loop calls it directly, and
+    /// [`ServerInner::submit_and_wait`] wraps it for the blocking
+    /// transports. `done` fires
     /// exactly once, on a worker thread, with the reply (real, expired,
     /// or — via [`DoneSlot`] — `internal` if the job was lost). `waited`
     /// is how long the line already sat parsed in the connection's
@@ -751,68 +768,18 @@ impl ServerInner {
         }
     }
 
+    /// The blocking submission path: [`ServerInner::submit_async`] with a
+    /// reply channel. A lost job (its worker panicked) surfaces through the
+    /// [`DoneSlot`] fallback, and the `RecvError` arm is the same `internal`
+    /// reply should the channel ever close unanswered.
     fn submit_and_wait(self: &Arc<Self>, conn: u64, line: &str) -> Reply {
         let (tx, rx) = mpsc::channel::<Reply>();
-        let work = {
-            let inner = self.clone();
-            let line = line.to_string();
-            let tx = tx.clone();
-            move || {
-                if let Some(plan) = &inner.config.faults {
-                    if let Some(planned) = plan.decide(FaultSite::Job) {
-                        if planned.fault == Fault::Panic {
-                            // The worker unwinds (and the pool respawns
-                            // it); the submitter sees the dropped reply
-                            // channel and answers `internal` (close: true).
-                            panic!("injected: queued job panic");
-                        }
-                    }
-                }
-                let _ = tx.send(inner.handle_line(conn, &line));
-            }
-        };
-        let expire = {
-            let line = line.to_string();
-            move || {
-                let id = parse_request(&line).ok().and_then(|e| e.id);
-                let error = WireError::new(
-                    ErrorCode::DeadlineExceeded,
-                    "request expired in queue before execution",
-                );
-                let _ = tx.send(Reply {
-                    text: error_response(id.as_ref(), &error),
-                    close: false,
-                });
-            }
-        };
-        match self.pool.submit(self.config.deadline, work, expire) {
-            Ok(()) => rx.recv().unwrap_or_else(|_| Reply {
-                text: error_response(
-                    None,
-                    &WireError::new(ErrorCode::Internal, "worker dropped the request"),
-                ),
-                close: true,
-            }),
-            Err(SubmitError::Full) => {
-                let id = parse_request(line).ok().and_then(|e| e.id);
-                let mut error = WireError::new(
-                    ErrorCode::Overloaded,
-                    "request queue is full; back off and retry",
-                );
-                error.retry_after_ms = Some(self.retry_after_ms());
-                self.retries_hinted.fetch_add(1, Ordering::Relaxed);
-                Reply {
-                    text: error_response(id.as_ref(), &error),
-                    close: false,
-                }
-            }
-            Err(SubmitError::Shutdown) => Reply {
-                text: error_response(
-                    None,
-                    &WireError::new(ErrorCode::Internal, "server is shutting down"),
-                ),
-                close: true,
-            },
+        let done: DoneCallback = Box::new(move |reply| {
+            let _ = tx.send(reply);
+        });
+        match self.submit_async(conn, line.to_string(), Duration::ZERO, done) {
+            Ok(()) => rx.recv().unwrap_or_else(|_| lost_job_reply()),
+            Err(refusal) => refusal,
         }
     }
 

@@ -143,17 +143,17 @@ impl SessionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
+    use crate::engine::ShardedEngine;
     use lsc_automata::families::blowup_nfa;
     use std::sync::Arc;
 
-    fn handle(engine: &Engine) -> InstanceHandle {
+    fn handle(engine: &ShardedEngine) -> InstanceHandle {
         engine.prepare_nfa(&Arc::new(blowup_nfa(3)), 6)
     }
 
     #[test]
     fn sessions_are_connection_scoped() {
-        let engine = Engine::with_defaults();
+        let engine = ShardedEngine::with_defaults();
         let registry = SessionRegistry::new(Duration::from_secs(60));
         let name = registry.open(1, handle(&engine), Alphabet::binary());
         assert!(registry.take(2, &name).is_none(), "foreign connection");
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_drop_conn_clears() {
-        let engine = Engine::with_defaults();
+        let engine = ShardedEngine::with_defaults();
         let registry = SessionRegistry::new(Duration::from_secs(60));
         let a = registry.open(1, handle(&engine), Alphabet::binary());
         let b = registry.open(1, handle(&engine), Alphabet::binary());
@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn idle_sessions_evict() {
-        let engine = Engine::with_defaults();
+        let engine = ShardedEngine::with_defaults();
         let registry = SessionRegistry::new(Duration::from_millis(20));
         let name = registry.open(1, handle(&engine), Alphabet::binary());
         std::thread::sleep(Duration::from_millis(40));

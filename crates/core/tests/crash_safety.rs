@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lsc_automata::families::blowup_nfa;
-use lsc_core::engine::{Engine, EngineConfig, PreparedInstance, SnapshotStore};
+use lsc_core::engine::{EngineConfig, PreparedInstance, ShardedEngine, SnapshotStore};
 use lsc_core::serve::client::backoff_delay;
 use lsc_core::serve::json::{self, Json};
 use lsc_core::serve::{ServeConfig, Server};
@@ -86,7 +86,7 @@ fn a_crash_at_every_byte_boundary_recovers_to_the_published_prefix() {
             "byte {k}: tmp debris mishandled"
         );
         assert!(!b_tmp.exists(), "byte {k}: tmp debris survived the sweep");
-        let engine = Engine::with_defaults();
+        let engine = ShardedEngine::with_defaults();
         let warm = store.warm(&engine);
         assert_eq!(
             (warm.loaded, warm.rejected),
@@ -98,7 +98,7 @@ fn a_crash_at_every_byte_boundary_recovers_to_the_published_prefix() {
         // Crash leaving a torn file under the published name.
         std::fs::write(&b_path, &b_bytes[..k]).unwrap();
         let store = SnapshotStore::open(&dir).unwrap();
-        let engine = Engine::with_defaults();
+        let engine = ShardedEngine::with_defaults();
         let warm = store.warm(&engine);
         if k == b_bytes.len() {
             // The one boundary where the file is whole: B serves.

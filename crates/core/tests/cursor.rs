@@ -11,7 +11,9 @@ use lsc_automata::families::{
 };
 use lsc_automata::regex::Regex;
 use lsc_automata::{Alphabet, Nfa, Word};
-use lsc_core::engine::{Engine, EngineConfig, QueryKind, QueryRequest, ResumeToken};
+use lsc_core::engine::{
+    EngineConfig, QueryKind, QueryRequest, ResumeToken, ShardedConfig, ShardedEngine,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,9 +42,12 @@ fn stitch(nfa: &Arc<Nfa>, n: usize, page_size: usize, threads: usize) -> Vec<Wor
     let mut stitched: Vec<Word> = Vec::new();
     let mut token: Option<ResumeToken> = None;
     loop {
-        let engine = Engine::new(EngineConfig {
-            threads,
-            ..EngineConfig::default()
+        let engine = ShardedEngine::new(ShardedConfig {
+            engine: EngineConfig {
+                threads,
+                ..EngineConfig::default()
+            },
+            shards: 1,
         });
         let mut cursor = match &token {
             None => engine.enumerate(&instance),
@@ -70,7 +75,7 @@ proptest! {
     fn stitched_pages_match_uninterrupted(index in 0usize..6, seed in 0u64..200, page in 1usize..9) {
         let (nfa, n) = family(index, seed);
         let nfa = Arc::new(nfa);
-        let uninterrupted: Vec<Word> = Engine::with_defaults().enumerate(&(nfa.clone(), n)).collect();
+        let uninterrupted: Vec<Word> = ShardedEngine::with_defaults().enumerate(&(nfa.clone(), n)).collect();
         for threads in [1usize, 2, 4] {
             let stitched = stitch(&nfa, n, page, threads);
             prop_assert_eq!(
@@ -87,7 +92,7 @@ proptest! {
     fn cursor_agrees_with_batch_enumerate(index in 0usize..6, seed in 0u64..200) {
         let (nfa, n) = family(index, seed);
         let nfa = Arc::new(nfa);
-        let engine = Engine::with_defaults();
+        let engine = ShardedEngine::with_defaults();
         let streamed: Vec<Word> = engine.enumerate(&(nfa.clone(), n)).collect();
         let request = QueryRequest::automaton(
             nfa.clone(), n, QueryKind::Enumerate { limit: usize::MAX }, 0,
@@ -107,7 +112,7 @@ proptest! {
 #[test]
 fn first_witness_streams_without_materializing() {
     let nfa = Arc::new(universal_nfa(Alphabet::binary()));
-    let engine = Engine::with_defaults();
+    let engine = ShardedEngine::with_defaults();
     let instance = (nfa.clone(), 64usize);
     let mut cursor = engine.enumerate(&instance);
     let first = cursor.next().expect("nonempty language");
@@ -130,7 +135,7 @@ fn first_witness_streams_without_materializing() {
 fn first_witness_streams_on_the_poly_route() {
     let ab = Alphabet::binary();
     let nfa = Arc::new(Regex::parse("(0|1)*1(0|1)*", &ab).unwrap().compile());
-    let engine = Engine::with_defaults();
+    let engine = ShardedEngine::with_defaults();
     let instance = (nfa, 48usize);
     let mut cursor = engine.enumerate(&instance);
     let first = cursor.next().expect("nonempty language");

@@ -16,7 +16,8 @@ use lsc_automata::families::{ambiguity_gap_nfa, blowup_nfa, universal_nfa};
 use lsc_automata::regex::Regex;
 use lsc_automata::{Alphabet, Nfa};
 use lsc_core::engine::{
-    Engine, EngineConfig, QueryKind, QueryOutput, QueryRequest, QueryResponse, RouterConfig,
+    EngineConfig, QueryKind, QueryOutput, QueryRequest, QueryResponse, RouterConfig, ShardedConfig,
+    ShardedEngine,
 };
 use lsc_core::fpras::{run_fpras, FprasParams};
 use lsc_core::MemNfa;
@@ -126,21 +127,25 @@ fn witness_sampler_matches_per_call_sampling() {
 
 // ---- Engine-path equivalence -----------------------------------------------
 
-/// The engine configuration the equivalence contract is checked under: the
-/// determinization probe disabled so ambiguous families genuinely exercise
-/// the cached FPRAS sketch, and a small `k` so real sampling happens.
-fn engine_config(threads: usize) -> EngineConfig {
+/// An engine under the configuration the equivalence contract is checked
+/// under: the determinization probe disabled so ambiguous families genuinely
+/// exercise the cached FPRAS sketch, and a small `k` so real sampling
+/// happens.
+fn engine(shards: usize, threads: usize) -> ShardedEngine {
     let mut fpras = FprasParams::quick();
     fpras.k = 16;
-    EngineConfig {
-        router: RouterConfig {
-            determinization_cap: 0,
-            fpras,
-            classify_ambiguity: false,
+    ShardedEngine::new(ShardedConfig {
+        engine: EngineConfig {
+            router: RouterConfig {
+                determinization_cap: 0,
+                fpras,
+                classify_ambiguity: false,
+            },
+            threads,
+            ..EngineConfig::default()
         },
-        threads,
-        ..EngineConfig::default()
-    }
+        shards,
+    })
 }
 
 /// One COUNT + one ENUM + one GEN request per family, with fixed per-request
@@ -186,29 +191,30 @@ fn assert_same_output(context: &str, a: &QueryResponse, b: &QueryResponse) {
 
 /// Warm (cached) engine answers are bit-identical to cold one-shot answers —
 /// COUNT (exact route on UFA families, FPRAS route on ambiguous ones), ENUM
-/// order, and GEN witness streams — at 1, 2, and 4 batch threads.
+/// order, and GEN witness streams — at 1, 2, and 4 batch threads, on one
+/// shard and on three.
 #[test]
 fn engine_warm_answers_bit_identical_to_cold_at_any_thread_count() {
     for (name, nfa, n) in families() {
         let requests = engine_requests(&nfa, n);
-        // Cold reference: a fresh engine per request, single-threaded.
-        let cold: Vec<QueryResponse> = requests
-            .iter()
-            .map(|r| Engine::new(engine_config(1)).query(r))
-            .collect();
-        for threads in [1usize, 2, 4] {
-            let engine = Engine::new(engine_config(threads));
-            let first = engine.query_batch(&requests);
-            let warm = engine.query_batch(&requests);
-            for (i, ((c, f), w)) in cold.iter().zip(&first).zip(&warm).enumerate() {
-                let ctx = format!("{name}/threads={threads}/request={i}");
-                assert_same_output(&format!("{ctx}/first"), c, f);
-                assert_same_output(&format!("{ctx}/warm"), c, w);
+        // Cold reference: a fresh one-shard engine per request,
+        // single-threaded.
+        let cold: Vec<QueryResponse> = requests.iter().map(|r| engine(1, 1).query(r)).collect();
+        for shards in [1usize, 3] {
+            for threads in [1usize, 2, 4] {
+                let engine = engine(shards, threads);
+                let first = engine.query_batch(&requests);
+                let warm = engine.query_batch(&requests);
+                for (i, ((c, f), w)) in cold.iter().zip(&first).zip(&warm).enumerate() {
+                    let ctx = format!("{name}/shards={shards}/threads={threads}/request={i}");
+                    assert_same_output(&format!("{ctx}/first"), c, f);
+                    assert_same_output(&format!("{ctx}/warm"), c, w);
+                }
+                assert!(
+                    warm.iter().all(|r| r.cache_hit),
+                    "{name}/shards={shards}/threads={threads}: second batch must be fully warm"
+                );
             }
-            assert!(
-                warm.iter().all(|r| r.cache_hit),
-                "{name}/threads={threads}: second batch must be fully warm"
-            );
         }
     }
 }
@@ -218,7 +224,7 @@ fn engine_warm_answers_bit_identical_to_cold_at_any_thread_count() {
 #[test]
 fn engine_agrees_with_memnfa_toolbox() {
     for (name, nfa, n) in families() {
-        let engine = Engine::new(engine_config(1));
+        let engine = engine(1, 1);
         let inst = MemNfa::new(nfa.clone(), n);
         let count = engine.query(&QueryRequest::automaton(
             nfa.clone(),
@@ -262,8 +268,8 @@ fn engine_witness_streams_reproduce_across_engines() {
     for (name, nfa, n) in families() {
         let request =
             QueryRequest::automaton(nfa.clone(), n, QueryKind::Sample { count: 40 }, 0xFEED);
-        let a = Engine::new(engine_config(1)).query(&request);
-        let engine = Engine::new(engine_config(2));
+        let a = engine(1, 1).query(&request);
+        let engine = engine(1, 2);
         // Warm the instance through other kinds first, then sample.
         engine.query_batch(&engine_requests(&nfa, n));
         let b = engine.query(&request);

@@ -3,7 +3,8 @@
 //! The contract under test: `nfa_tool serve` is a *transparent* front-end —
 //! N concurrent clients over real TCP sockets, interleaving `COUNT` /
 //! `ENUM` (paged, with mid-stream token resumption) / `GEN`, must receive
-//! responses **bit-identical** to direct single-threaded [`Engine`] calls
+//! responses **bit-identical** to direct single-threaded one-shard
+//! [`ShardedEngine`] calls
 //! under the same configuration; overload must shed load visibly
 //! (`overloaded` + `retry_after_ms`, never silent drops or blocking); and
 //! a restarted server with a populated snapshot store must answer its
@@ -17,7 +18,8 @@ use std::time::Duration;
 use lsc_automata::regex::Regex;
 use lsc_automata::{format_word, Alphabet, Nfa, Word};
 use lsc_core::engine::{
-    Engine, EngineConfig, QueryKind, QueryOutput, QueryRequest, RouterConfig, SnapshotStore,
+    EngineConfig, QueryKind, QueryOutput, QueryRequest, RouterConfig, ShardedConfig, ShardedEngine,
+    SnapshotStore,
 };
 use lsc_core::serve::json::{self, Json};
 use lsc_core::serve::{ServeConfig, Server};
@@ -133,6 +135,14 @@ const WORKLOADS: [(&str, usize); 4] = [
     ("(0|1)*00(0|1)*", 7),
 ];
 
+/// The serial reference: one shard, the server's engine configuration.
+fn reference_engine() -> ShardedEngine {
+    ShardedEngine::new(ShardedConfig {
+        engine: test_engine_config(),
+        shards: 1,
+    })
+}
+
 /// What one client should see, computed from a direct single-threaded
 /// engine with the same configuration.
 struct Expected {
@@ -142,7 +152,7 @@ struct Expected {
     samples: Vec<String>,
 }
 
-fn expected_for(engine: &Engine, pattern: &str, length: usize, seed: u64) -> Expected {
+fn expected_for(engine: &ShardedEngine, pattern: &str, length: usize, seed: u64) -> Expected {
     let ab = Alphabet::binary();
     let nfa: Arc<Nfa> = Arc::new(Regex::parse(pattern, &ab).unwrap().compile());
     let handle = engine.prepare_nfa(&nfa, length);
@@ -231,7 +241,7 @@ fn concurrent_clients_match_single_threaded_engine_bit_for_bit() {
     let addr = handle.addr();
 
     // Reference: a direct, single-threaded engine with the same config.
-    let reference = Engine::new(test_engine_config());
+    let reference = reference_engine();
 
     // 8 concurrent clients (2 per workload), each a real TCP connection,
     // all interleaving against the 4-worker server.
@@ -320,7 +330,7 @@ fn tokens_resume_across_connections() {
     }
 
     // The stitched cross-connection stream equals one uninterrupted run.
-    let reference = Engine::new(test_engine_config());
+    let reference = reference_engine();
     let ab = Alphabet::binary();
     let nfa = Arc::new(Regex::parse("(0|1)*11", &ab).unwrap().compile());
     let all: Vec<String> = reference

@@ -105,7 +105,6 @@ proptest! {
         let engine = ShardedEngine::new(ShardedConfig {
             engine: EngineConfig::default(),
             shards,
-            ..ShardedConfig::default()
         });
         let instances: Vec<(Arc<_>, usize)> = ks
             .iter()

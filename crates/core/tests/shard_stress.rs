@@ -1,14 +1,15 @@
 //! Deterministic concurrency stress suite for the sharded engine.
 //!
-//! The contract under test: a [`ShardedEngine`] is a *transparent* drop-in
-//! for a single [`Engine`] under arbitrary concurrent mixed traffic. The
+//! The contract under test: a many-shard [`ShardedEngine`] is a
+//! *transparent* drop-in for a one-shard engine under arbitrary concurrent
+//! mixed traffic. The
 //! harness builds a seeded op log — mixed `COUNT` / `COUNT-exact` / paged
 //! `ENUM` (cursor tokens handed across threads) / `GEN` over a small
 //! instance zoo, under a byte cap tiny enough to force constant evictions —
 //! then executes it two ways:
 //!
-//! * **serial replay** — the ops in log order, one at a time, on a plain
-//!   single `Engine` with the same configuration (the pre-sharding path);
+//! * **serial replay** — the ops in log order, one at a time, on a
+//!   one-shard engine with the same configuration;
 //! * **concurrent** — the same ops dealt round-robin onto M threads
 //!   hammering one shared `ShardedEngine`, at M ∈ {1, 2, 4, 8}.
 //!
@@ -40,8 +41,8 @@ use lsc_automata::families::{
 use lsc_automata::regex::Regex;
 use lsc_automata::{format_word, Alphabet, Nfa, Word};
 use lsc_core::engine::{
-    Engine, EngineConfig, QueryKind, QueryOutput, QueryRequest, QueryResponse, ResumeToken,
-    RouterConfig, ShardedConfig, ShardedEngine, WordCursor,
+    EngineConfig, QueryKind, QueryOutput, QueryRequest, ResumeToken, RouterConfig, ShardedConfig,
+    ShardedEngine, WordCursor,
 };
 use lsc_core::fpras::FprasParams;
 use rand::rngs::StdRng;
@@ -169,48 +170,17 @@ fn op_log(ops: usize, num_instances: usize, master_seed: u64) -> Vec<Op> {
 
 // ---- execution ----
 
-/// The engine surface the harness drives — implemented by both the single
-/// engine (serial reference) and the sharded engine (system under test),
-/// so one executor serves both executions.
-trait Resolver: Sync {
-    fn answer(&self, request: &QueryRequest) -> QueryResponse;
-    fn page_cursor(&self, nfa: &Arc<Nfa>, length: usize, token: Option<&ResumeToken>)
-        -> WordCursor;
-}
-
-impl Resolver for Engine {
-    fn answer(&self, request: &QueryRequest) -> QueryResponse {
-        self.query(request)
-    }
-    fn page_cursor(
-        &self,
-        nfa: &Arc<Nfa>,
-        length: usize,
-        token: Option<&ResumeToken>,
-    ) -> WordCursor {
-        let handle = self.prepare_nfa(nfa, length);
-        match token {
-            None => self.cursor(&handle),
-            Some(token) => self.resume_cursor(&handle, token).expect("own token"),
-        }
-    }
-}
-
-impl Resolver for ShardedEngine {
-    fn answer(&self, request: &QueryRequest) -> QueryResponse {
-        self.query(request)
-    }
-    fn page_cursor(
-        &self,
-        nfa: &Arc<Nfa>,
-        length: usize,
-        token: Option<&ResumeToken>,
-    ) -> WordCursor {
-        let handle = self.prepare_nfa(nfa, length);
-        match token {
-            None => self.cursor(&handle),
-            Some(token) => self.resume_cursor(&handle, token).expect("own token"),
-        }
+/// A page cursor on the instance's session, fresh or at a token.
+fn page_cursor(
+    engine: &ShardedEngine,
+    nfa: &Arc<Nfa>,
+    length: usize,
+    token: Option<&ResumeToken>,
+) -> WordCursor {
+    let handle = engine.prepare_nfa(nfa, length);
+    match token {
+        None => engine.cursor(&handle),
+        Some(token) => engine.resume_cursor(&handle, token).expect("own token"),
     }
 }
 
@@ -259,17 +229,12 @@ fn words_line(words: &[Word], ab: &Alphabet) -> String {
 /// assertion compares). `cache_hit` flags are deliberately *not* recorded:
 /// outputs are pure functions of the log, hit/miss flags are functions of
 /// interleaving.
-fn run_op<R: Resolver + ?Sized>(
-    resolver: &R,
-    zoo: &[(Arc<Nfa>, usize)],
-    chain: &PageChain,
-    op: &Op,
-) -> String {
+fn run_op(engine: &ShardedEngine, zoo: &[(Arc<Nfa>, usize)], chain: &PageChain, op: &Op) -> String {
     let ab = Alphabet::binary();
     let (nfa, n) = &zoo[op.instance];
     match op.kind {
         OpKind::Count => {
-            let response = resolver.answer(&QueryRequest::automaton(
+            let response = engine.query(&QueryRequest::automaton(
                 nfa.clone(),
                 *n,
                 QueryKind::Count,
@@ -287,7 +252,7 @@ fn run_op<R: Resolver + ?Sized>(
             }
         }
         OpKind::CountExact => {
-            let response = resolver.answer(&QueryRequest::automaton(
+            let response = engine.query(&QueryRequest::automaton(
                 nfa.clone(),
                 *n,
                 QueryKind::CountExact,
@@ -302,7 +267,7 @@ fn run_op<R: Resolver + ?Sized>(
         OpKind::EnumeratePage { page, seq } => {
             let token = chain.claim(op.instance, seq);
             let token = token.map(|t| ResumeToken::parse(&t).expect("published token parses"));
-            let mut cursor = resolver.page_cursor(nfa, *n, token.as_ref());
+            let mut cursor = page_cursor(engine, nfa, *n, token.as_ref());
             let words: Vec<Word> = cursor.by_ref().take(page).collect();
             let out = format!(
                 "page#{seq} rank={} done={} [{}]",
@@ -314,7 +279,7 @@ fn run_op<R: Resolver + ?Sized>(
             out
         }
         OpKind::Sample { count, seed } => {
-            let response = resolver.answer(&QueryRequest::automaton(
+            let response = engine.query(&QueryRequest::automaton(
                 nfa.clone(),
                 *n,
                 QueryKind::Sample { count },
@@ -329,22 +294,18 @@ fn run_op<R: Resolver + ?Sized>(
     }
 }
 
-/// Serial replay: the ops in log order on the given resolver.
-fn run_serial<R: Resolver + ?Sized>(
-    resolver: &R,
-    zoo: &[(Arc<Nfa>, usize)],
-    log: &[Op],
-) -> Vec<String> {
+/// Serial replay: the ops in log order on the given engine.
+fn run_serial(engine: &ShardedEngine, zoo: &[(Arc<Nfa>, usize)], log: &[Op]) -> Vec<String> {
     let chain = PageChain::new(zoo.len());
     log.iter()
-        .map(|op| run_op(resolver, zoo, &chain, op))
+        .map(|op| run_op(engine, zoo, &chain, op))
         .collect()
 }
 
 /// Concurrent execution: the ops dealt round-robin onto `threads` workers
-/// over one shared resolver, outputs gathered back into log order.
-fn run_concurrent<R: Resolver + ?Sized>(
-    resolver: &R,
+/// over one shared engine, outputs gathered back into log order.
+fn run_concurrent(
+    engine: &ShardedEngine,
     zoo: &[(Arc<Nfa>, usize)],
     log: &[Op],
     threads: usize,
@@ -368,7 +329,7 @@ fn run_concurrent<R: Resolver + ?Sized>(
             let chain = &chain;
             scope.spawn(move || {
                 for (slot, out) in slots {
-                    *out = Some(run_op(resolver, zoo, chain, &log[slot]));
+                    *out = Some(run_op(engine, zoo, chain, &log[slot]));
                 }
             });
         }
@@ -381,8 +342,16 @@ fn run_concurrent<R: Resolver + ?Sized>(
 
 // ---- the suite ----
 
+/// The serial reference: one shard, the stress configuration.
+fn serial_reference() -> ShardedEngine {
+    ShardedEngine::new(ShardedConfig {
+        engine: stress_engine_config(),
+        shards: 1,
+    })
+}
+
 /// The headline pin: concurrent sharded execution is bit-identical to a
-/// serial single-engine replay of the same op log, at every thread count.
+/// serial one-shard replay of the same op log, at every thread count.
 #[test]
 fn sharded_concurrent_matches_single_engine_serial_replay() {
     let ops = env_usize("LSC_STRESS_OPS", 160);
@@ -390,10 +359,10 @@ fn sharded_concurrent_matches_single_engine_serial_replay() {
     let zoo = instances();
     let log = op_log(ops, zoo.len(), 0x5742_E550);
 
-    let reference = Engine::new(stress_engine_config());
+    let reference = serial_reference();
     let expected = run_serial(&reference, &zoo, &log);
     assert!(
-        reference.stats().evictions > 0,
+        reference.stats().aggregate.evictions > 0,
         "the byte cap must actually force evictions for this suite to bite"
     );
 
@@ -401,7 +370,6 @@ fn sharded_concurrent_matches_single_engine_serial_replay() {
         let sharded = ShardedEngine::new(ShardedConfig {
             engine: stress_engine_config(),
             shards,
-            ..ShardedConfig::default()
         });
         let got = run_concurrent(&sharded, &zoo, &log, threads);
         for (slot, (got, want)) in got.iter().zip(&expected).enumerate() {
@@ -427,20 +395,19 @@ fn sharded_concurrent_matches_single_engine_serial_replay() {
     }
 }
 
-/// The same log replayed serially on a *sharded* engine matches the single
-/// engine too (sharding alone — no concurrency — changes nothing either).
+/// The same log replayed serially on a many-shard engine matches the
+/// one-shard engine too (sharding alone — no concurrency — changes nothing either).
 #[test]
 fn sharded_serial_matches_single_engine_serial_replay() {
     let ops = env_usize("LSC_STRESS_OPS", 160).min(96);
     let zoo = instances();
     let log = op_log(ops, zoo.len(), 0x0DD_C0DE);
-    let reference = Engine::new(stress_engine_config());
+    let reference = serial_reference();
     let expected = run_serial(&reference, &zoo, &log);
     for shards in [1usize, 3, 8] {
         let sharded = ShardedEngine::new(ShardedConfig {
             engine: stress_engine_config(),
             shards,
-            ..ShardedConfig::default()
         });
         let got = run_serial(&sharded, &zoo, &log);
         assert_eq!(got, expected, "serial sharded drifted at {shards} shards");
@@ -463,7 +430,6 @@ fn warm_replay_is_bit_identical_to_cold() {
     let sharded = ShardedEngine::new(ShardedConfig {
         engine: config,
         shards: 4,
-        ..ShardedConfig::default()
     });
     let cold = run_serial(&sharded, &zoo, &log);
     let misses_after_cold = sharded.stats().aggregate.misses;
@@ -478,18 +444,17 @@ fn warm_replay_is_bit_identical_to_cold() {
 
 /// Cursor tokens minted under one topology resume exactly under another:
 /// pages stitched across an `add_shard` + `remove_shard` are bit-identical
-/// to an uninterrupted single-engine enumeration.
+/// to an uninterrupted one-shard enumeration.
 #[test]
 fn pages_stitch_across_topology_changes() {
     let zoo = instances();
     let (nfa, n) = &zoo[3]; // ambiguous: the poly-delay route
-    let reference = Engine::new(stress_engine_config());
+    let reference = serial_reference();
     let all: Vec<Word> = reference.cursor(&reference.prepare_nfa(nfa, *n)).collect();
 
     let sharded = ShardedEngine::new(ShardedConfig {
         engine: stress_engine_config(),
         shards: 2,
-        ..ShardedConfig::default()
     });
     let mut stitched: Vec<Word> = Vec::new();
     let mut token: Option<ResumeToken> = None;

@@ -428,6 +428,86 @@ fn half_closed_batch_with_unterminated_final_line_is_fully_answered() {
     }
 }
 
+/// A request line one byte past the 4 MiB cap, sent without a newline,
+/// ends its connection on every transport (counted as a reset), while
+/// another connection keeps getting answers.
+#[test]
+fn over_long_request_lines_end_the_connection_on_every_transport() {
+    const MAX_LINE_BYTES: usize = 4 << 20;
+    for transport in transports() {
+        let (server, mut handle) = spawn(transport);
+        let mut bystander = Wire::connect(handle.addr());
+        let hello = bystander.rpc(r#"{"op":"hello","proto":1}"#);
+        let mut flood = TcpStream::connect(handle.addr()).expect("connect");
+        flood
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let chunk = vec![b'x'; 1 << 20];
+        let mut left = MAX_LINE_BYTES + 1;
+        while left > 0 {
+            let n = left.min(chunk.len());
+            if flood.write_all(&chunk[..n]).is_err() {
+                break; // already closed by the server
+            }
+            left -= n;
+        }
+        let mut buf = [0u8; 64];
+        match flood.read(&mut buf) {
+            Ok(0) => {}
+            Ok(n) => panic!(
+                "{transport:?}: answered an over-long line: {:?}",
+                String::from_utf8_lossy(&buf[..n])
+            ),
+            Err(e) => assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "{transport:?}: the connection stayed open past the line cap"
+            ),
+        }
+        assert_eq!(
+            bystander.rpc(r#"{"op":"hello","proto":1}"#),
+            hello,
+            "{transport:?}: other connections keep being served"
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.stats().resets_survived == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(
+            server.stats().resets_survived,
+            1,
+            "{transport:?}: the dropped connection counts as a reset"
+        );
+        handle.shutdown();
+        server.shutdown();
+    }
+}
+
+/// The cap is per line: a pipelined burst of lines each under 4 MiB but
+/// together over it is answered in full, identically on every transport.
+#[test]
+fn pipelined_lines_under_the_cap_are_answered_whatever_the_burst_size() {
+    let pad = "x".repeat(1 << 20);
+    let line = format!(r#"{{"op":"hello","proto":1,"pad":"{pad}"}}"#);
+    let burst = format!("{line}\n").repeat(5);
+    let mut transcripts = Vec::new();
+    for transport in transports() {
+        let (server, mut handle) = spawn(transport);
+        let mut wire = Wire::connect(handle.addr());
+        wire.writer.write_all(burst.as_bytes()).expect("send burst");
+        let replies: Vec<String> = (0..5).map(|_| wire.recv()).collect();
+        transcripts.push((transport, replies));
+        handle.shutdown();
+        server.shutdown();
+    }
+    let (first, expected) = &transcripts[0];
+    for (transport, replies) in &transcripts[1..] {
+        assert_eq!(replies, expected, "{transport:?} diverged from {first:?}");
+    }
+}
+
 #[test]
 fn injected_job_panics_respawn_workers_and_the_pool_keeps_serving() {
     // The pool.rs respawn pin, end to end: with queued-job panics

@@ -63,7 +63,7 @@ pub fn to_nfa(formula: &DnfFormula) -> Nfa {
 /// the prepared entry point for repeated queries on one formula — the
 /// instance caches its unrolled DAG and ambiguity classification, so
 /// counting, enumerating, and sampling the model set all share one
-/// compilation instead of re-reducing per call (and an [`lsc_core::Engine`]
+/// compilation instead of re-reducing per call (and an [`lsc_core::ShardedEngine`]
 /// dedupes across formulas by fingerprint).
 pub fn to_mem_nfa(formula: &DnfFormula) -> MemNfa {
     MemNfa::new(to_nfa(formula), formula.num_vars())
@@ -262,9 +262,9 @@ mod tests {
 
     #[test]
     fn typed_engine_queries_return_assignments() {
-        use lsc_core::Engine;
+        use lsc_core::ShardedEngine;
         let f: DnfFormula = "x0 & !x1 | x2".parse().unwrap();
-        let engine = Engine::with_defaults();
+        let engine = ShardedEngine::with_defaults();
         // ENUM through the generic surface decodes straight to bitmasks.
         let mut models: Vec<u128> = engine.enumerate(&f).collect();
         models.sort_unstable();
@@ -277,8 +277,8 @@ mod tests {
             routed.exact.map(|c| c.to_u64().unwrap()),
             Some(models.len() as u64)
         );
-        assert_eq!(engine.stats().misses, 1);
-        assert_eq!(engine.stats().domains, 1);
+        assert_eq!(engine.stats().aggregate.misses, 1);
+        assert_eq!(engine.stats().aggregate.domains, 1);
         // GEN draws decode to genuine models.
         for a in engine.sample(&f, 5).unwrap().take(8) {
             assert!(f.eval(a));

@@ -593,10 +593,10 @@ mod tests {
 
     #[test]
     fn typed_engine_queries_serve_the_regular_fragment() {
-        use lsc_core::Engine;
+        use lsc_core::ShardedEngine;
         let g = nfa_to_right_linear(&blowup_nfa(4));
         let grammar = RegularGrammar::new(g, 9).unwrap();
-        let engine = Engine::with_defaults();
+        let engine = ShardedEngine::with_defaults();
         let count = engine.count(&grammar).unwrap();
         assert_eq!(count.exact.as_ref().unwrap().to_u64(), Some(256));
         // Page the enumeration across a resume token; the stitched stream
@@ -612,7 +612,11 @@ mod tests {
         for w in engine.sample(&grammar, 17).unwrap().take(6) {
             assert!(nfa.accepts(&w));
         }
-        assert_eq!(engine.stats().misses, 1, "one session serves everything");
+        assert_eq!(
+            engine.stats().aggregate.misses,
+            1,
+            "one session serves everything"
+        );
     }
 
     #[test]

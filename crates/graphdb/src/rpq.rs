@@ -354,9 +354,9 @@ mod tests {
 
     #[test]
     fn typed_engine_queries_return_paths() {
-        use lsc_core::Engine;
+        use lsc_core::ShardedEngine;
         let inst = RpqInstance::new(diamond(), "abc*", 3, 0, 3);
-        let engine = Engine::with_defaults();
+        let engine = ShardedEngine::with_defaults();
         let direct: Vec<RpqPath> = inst.enumerate_paths().collect();
         let typed: Vec<RpqPath> = engine.enumerate(&inst).collect();
         assert_eq!(typed, direct);
@@ -372,7 +372,11 @@ mod tests {
             assert_eq!(p.nodes.first(), Some(&0));
             assert_eq!(p.nodes.last(), Some(&3));
         }
-        assert_eq!(engine.stats().misses, 1, "one session serves everything");
+        assert_eq!(
+            engine.stats().aggregate.misses,
+            1,
+            "one session serves everything"
+        );
     }
 
     #[test]

@@ -306,9 +306,9 @@ mod tests {
 
     #[test]
     fn typed_engine_queries_return_mappings() {
-        use lsc_core::Engine;
+        use lsc_core::ShardedEngine;
         let inst = SpannerInstance::new(block_spanner(&ab(), 'a'), "aaba");
-        let engine = Engine::with_defaults();
+        let engine = ShardedEngine::with_defaults();
         let direct: Vec<Mapping> = inst.mappings().collect();
         // The unambiguous product streams constant-delay through the typed
         // cursor; page it across a token boundary.
@@ -327,7 +327,11 @@ mod tests {
         for m in engine.sample(&inst, 3).unwrap().take(5) {
             assert!(!m.spans[0].is_empty());
         }
-        assert_eq!(engine.stats().misses, 1, "one session serves everything");
+        assert_eq!(
+            engine.stats().aggregate.misses,
+            1,
+            "one session serves everything"
+        );
     }
 
     #[test]

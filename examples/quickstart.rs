@@ -1,5 +1,5 @@
 //! Quickstart: the three problems (ENUM / COUNT / GEN) through the typed
-//! engine surface — one `Engine`, many domains, streaming cursors.
+//! engine surface — one `ShardedEngine`, many domains, streaming cursors.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -8,7 +8,7 @@ use lsc_dnf::DnfFormula;
 use std::sync::Arc;
 
 fn main() {
-    let engine = Engine::with_defaults();
+    let engine = ShardedEngine::with_defaults();
 
     // ---- The identity domain: a raw (automaton, length) instance ----------
     // Binary words containing the substring 101, at length 14.
@@ -78,7 +78,7 @@ fn main() {
     println!("uniform models (bitmasks): {draws:?}");
 
     // ---- Everything above shared one cache --------------------------------
-    let stats = engine.stats();
+    let stats = engine.stats().aggregate;
     println!(
         "\nengine: {} domain sessions, {} instances prepared, {} hits / {} misses",
         stats.domains, stats.entries, stats.hits, stats.misses

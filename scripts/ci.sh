@@ -32,6 +32,18 @@ echo "== router chaos smoke: kill + join on a 3-backend ring =="
 LSC_ROUTER_CHAOS_OPS=12 LSC_ROUTER_CHAOS_CLIENTS=3 \
 cargo test -q --release -p lsc-core --test router_chaos
 
+echo "== count-route smoke: the one-shot counting-route mode =="
+# "ends in 11" at length 6 has 16 witnesses, counted exactly.
+COUNT_ROUTE_OUT="$(./target/release/nfa_tool count-route --regex '(0|1)*11' --length 6)"
+echo "$COUNT_ROUTE_OUT" | head -n 1 | grep -qx '= 16'
+# `route` is only the cluster front-end: without --backends it is a usage
+# error, not a count.
+if ./target/release/nfa_tool route --regex '(0|1)*11' --length 6 2>/dev/null; then
+  echo "nfa_tool route without --backends must fail" >&2
+  exit 1
+fi
+echo "count-route smoke: ok"
+
 echo "== router e2e smoke: nfa_tool route over two nfa_tool serve nodes =="
 ROUTE_DIR="$(mktemp -d)"
 trap 'rm -rf "$ROUTE_DIR"' EXIT

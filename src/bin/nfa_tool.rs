@@ -8,7 +8,7 @@
 //! nfa-tool sample    (--regex PAT | --file NFA.txt) --length N [--count K] [--seed S]
 //! nfa-tool info      (--regex PAT | --file NFA.txt) [--length N]
 //! nfa-tool classify  (--regex PAT | --file NFA.txt)
-//! nfa-tool route     (--regex PAT | --file NFA.txt) --length N [--cap C]
+//! nfa-tool count-route (--regex PAT | --file NFA.txt) --length N [--cap C]
 //! nfa-tool route     --backends HOST:P1,HOST:P2[,...] [--listen HOST:PORT]
 //!                    [--snapshot-dirs D1,D2[,...]] [--retries R]
 //! nfa-tool batch     [--file QUERIES.txt] [--threads T] [--shards S] [--cache-mb M]
@@ -25,10 +25,11 @@
 //!
 //! `--regex` patterns use the alphabet given by `--alphabet` (default `01`).
 //! NFA files use the format of `lsc_automata::io`. `classify` reports the
-//! Weber–Seidl ambiguity class; `route` runs the ambiguity-aware counting
-//! router and reports which algorithm produced the count.
+//! Weber–Seidl ambiguity class; `count-route` counts through the
+//! ambiguity-aware choice of algorithm (exact where affordable, FPRAS
+//! otherwise) and reports which algorithm produced the count.
 //!
-//! `route --backends` is the **cluster front-end**
+//! `route` is the **cluster front-end**
 //! ([`lsc_core::serve::Router`]): it listens on `--listen` (default
 //! `127.0.0.1:7410`) speaking the same JSON-lines protocol as `serve`,
 //! and forwards each session to its home backend by instance fingerprint
@@ -161,7 +162,7 @@ fn usage(msg: &str) -> ! {
            nfa-tool sample    (--regex PAT | --file NFA.txt) --length N [--count K] [--seed S]\n  \
            nfa-tool info      (--regex PAT | --file NFA.txt) [--length N]\n  \
            nfa-tool classify  (--regex PAT | --file NFA.txt)\n  \
-           nfa-tool route     (--regex PAT | --file NFA.txt) --length N [--cap C]\n  \
+           nfa-tool count-route (--regex PAT | --file NFA.txt) --length N [--cap C]\n  \
            nfa-tool route     --backends HOST:P1,HOST:P2[,...] [--listen HOST:PORT] [--snapshot-dirs D1,D2[,...]] [--retries R]\n  \
            nfa-tool batch     [--file QUERIES.txt] [--threads T] [--shards S] [--cache-mb M] [--seed S] [--page-size P]\n  \
            nfa-tool serve     [--port P | --stdio true] [--workers W] [--queue N] [--deadline-ms D] [--session-ttl-ms T] [--io-timeout-ms T] [--snapshot-dir DIR] [--cache-mb M] [--seed S] [--shards S] [--transport threaded|event-loop]\n  \
@@ -228,7 +229,6 @@ fn run_batch(args: &Args) {
     let engine = ShardedEngine::new(ShardedConfig {
         engine: config,
         shards: args.get_usize("shards").unwrap_or(0),
-        ..ShardedConfig::default()
     });
     // Phase 1 — the session flow: each line resolves to an instance handle
     // (compiling its pattern at most once engine-wide), so the requests
@@ -505,19 +505,17 @@ fn run_serve(args: &Args) {
     }
 }
 
-/// The `route` subcommand's cluster form ([`lsc_core::serve::Router`]):
-/// a front-end speaking the same JSON-lines wire protocol as `serve`,
+/// The `route` subcommand ([`lsc_core::serve::Router`]): a cluster
+/// front-end speaking the same JSON-lines wire protocol as `serve`,
 /// forwarding each session to its home backend by instance fingerprint
 /// over a consistent-hash ring, with snapshot shipping on topology
-/// change and failover-with-cursor-survival on backend death. Selected
-/// by `--backends`; without it, `route` remains the local
-/// ambiguity-aware counting router.
-fn run_route_cluster(args: &Args) {
+/// change and failover-with-cursor-survival on backend death.
+fn run_route(args: &Args) {
     use lsc_core::serve::{BackendSpec, ClientConfig, RouteConfig, Router};
 
     let fleet = args
         .get("backends")
-        .unwrap_or_else(|| usage("route --listen needs --backends HOST:P1,HOST:P2[,...]"));
+        .unwrap_or_else(|| usage("route needs --backends HOST:P1,HOST:P2[,...]"));
     let mut backends: Vec<BackendSpec> = fleet
         .split(',')
         .map(str::trim)
@@ -704,10 +702,8 @@ fn main() {
         run_query(&args);
         return;
     }
-    // `route` with a backend fleet is the cluster front-end; without one
-    // it stays the local ambiguity-aware counting router below.
-    if args.command == "route" && (args.get("backends").is_some() || args.get("listen").is_some()) {
-        run_route_cluster(&args);
+    if args.command == "route" {
+        run_route(&args);
         return;
     }
     let nfa = load_nfa(&args);
@@ -822,7 +818,7 @@ fn main() {
             println!("{class}");
             println!("({note})");
         }
-        "route" => {
+        "count-route" => {
             let n = args
                 .get_usize("length")
                 .unwrap_or_else(|| usage("--length required"));

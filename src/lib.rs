@@ -79,11 +79,12 @@
 //!
 //! ## Serving repeated traffic: sessions, cursors, and batches
 //!
-//! Production workloads ask the same instances over and over. An
-//! [`Engine`](prelude::Engine) caches prepared instances by structural
-//! fingerprint and serves every domain through one typed surface:
-//! [`Queryable`](prelude::Queryable) names the reduction and the witness
-//! decoding, [`Engine::prepare`](prelude::Engine::prepare) opens a cheap
+//! Production workloads ask the same instances over and over. A
+//! [`ShardedEngine`](prelude::ShardedEngine) caches prepared instances by
+//! structural fingerprint and serves every domain through one typed
+//! surface: [`Queryable`](prelude::Queryable) names the reduction and the
+//! witness decoding,
+//! [`ShardedEngine::prepare`](prelude::ShardedEngine::prepare) opens a cheap
 //! session handle, and the generic entry points stream typed answers —
 //! including resumable enumeration cursors, whose
 //! [`ResumeToken`](prelude::ResumeToken)s page `ENUM` across calls
@@ -95,7 +96,7 @@
 //!
 //! let alphabet = Alphabet::binary();
 //! let nfa = Arc::new(Regex::parse("(0|1)*101(0|1)*", &alphabet).unwrap().compile());
-//! let engine = Engine::with_defaults();
+//! let engine = ShardedEngine::with_defaults();
 //!
 //! // The raw (automaton, length) pair is the identity Queryable; app types
 //! // (DnfFormula, RpqInstance, SpannerInstance, RegularGrammar, NObdd)
@@ -112,7 +113,7 @@
 //! let samples: Vec<Word> = engine.sample(&instance, 7).unwrap().take(3).collect();
 //! assert!(samples.iter().all(|w| nfa.accepts(w)));
 //!
-//! // The batch compatibility layer rides on the same cache: requests carry
+//! // The batch layer rides on the same cache: requests carry
 //! // handles or shared automata — never a per-request automaton copy.
 //! let handle = engine.prepare(&instance);
 //! let responses = engine.query_batch(&[
@@ -122,7 +123,7 @@
 //! ]);
 //! assert!(responses.iter().all(|r| r.output.is_ok() && r.cache_hit));
 //! // One compilation served everything above.
-//! assert_eq!(engine.stats().misses, 1);
+//! assert_eq!(engine.stats().aggregate.misses, 1);
 //! ```
 //!
 //! ## Serving over the wire
@@ -155,9 +156,9 @@ pub mod prelude {
     pub use lsc_automata::regex::Regex;
     pub use lsc_automata::{Alphabet, Nfa, Word};
     pub use lsc_core::engine::{
-        Engine, EngineConfig, EnumCursor, GenStream, InstanceHandle, QueryKind, QueryOutput,
-        QueryRequest, QueryResponse, QueryTarget, Queryable, ResumeToken, RouterConfig, WordCursor,
-        WordGenStream,
+        EngineConfig, EnumCursor, GenStream, InstanceHandle, QueryKind, QueryOutput, QueryRequest,
+        QueryResponse, QueryTarget, Queryable, ResumeToken, RouterConfig, ShardedConfig,
+        ShardedEngine, WordCursor, WordGenStream,
     };
     pub use lsc_core::fpras::FprasParams;
     pub use lsc_core::sample::GenOutcome;

@@ -75,7 +75,7 @@ fn cursor_pages_have_a_constant_allocation_budget() {
     // resume position on every single word).
     const PAGE: usize = 512;
     let nfa = Arc::new(universal_nfa(Alphabet::binary()));
-    let engine = Engine::with_defaults();
+    let engine = ShardedEngine::with_defaults();
     let handle = engine.prepare(&(nfa, 20usize));
     let mut cursor = engine.cursor(&handle);
 
@@ -125,7 +125,7 @@ fn warm_batches_never_copy_the_automaton() {
         "guard needs a big instance (got {table_bytes} transition-table bytes)"
     );
 
-    let engine = Engine::with_defaults();
+    let engine = ShardedEngine::with_defaults();
     let handle = engine.prepare(&(nfa.clone(), 6usize));
     let requests: Vec<QueryRequest> = (0..QUERIES)
         .map(|i| QueryRequest::on(&handle, QueryKind::CountExact, i as u64))
